@@ -1,11 +1,10 @@
 #!/bin/sh
 # Tier-1 gate: configure, build, and run the full test suite; then the
-# suite again in the two alternate dispatch modes (per-op interpreter
-# oracle via JAVELIN_INTERP_NO_FAST_PATH, and the switch-dispatch
-# fallback build without computed goto); then a
-# Debug ASan+UBSan pass over the same suite (the threaded-dispatch and
-# SoA hot paths lean on raw pointers and computed goto, exactly where
-# sanitizers earn their keep); then the perf gate: Release builds of
+# suite again with the per-op interpreter oracle
+# (JAVELIN_INTERP_NO_FAST_PATH); then a Debug ASan+UBSan pass over the
+# same suite (the threaded-dispatch and SoA hot paths lean on raw
+# pointers and computed goto, exactly where sanitizers earn their
+# keep); then the perf gate: Release builds of
 # bench/micro_sim, bench/micro_gc, and bench/micro_trace whose gated
 # throughput metrics must stay within 10 % of the committed baselines
 # (see scripts/compare_bench.py); plus the trace-spool smoke
@@ -156,19 +155,14 @@ if [ $((rss_10m - rss_1m)) -gt 65536 ]; then
 fi
 echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 
-# --- dispatch-mode gates: the same suite — including the call-dense
+# --- dispatch-mode gate: the same suite — including the call-dense
 # --- differentials of tests/test_interp_diff.cc (call_heavy across all
 # --- tiers and heaps) — must hold with the batched interpreter fast
 # --- path disabled (the per-op oracle that the differential fuzzers
 # --- compare against; its goldens must match the fast path's bit for
-# --- bit), and in the portable switch-dispatch build without computed
-# --- goto.
+# --- bit).
 JAVELIN_INTERP_NO_FAST_PATH=1 ctest --test-dir build \
     --output-on-failure -j
-cmake -B build-fallback -S . \
-    -DCMAKE_CXX_FLAGS="-DJAVELIN_NO_COMPUTED_GOTO"
-cmake --build build-fallback -j
-ctest --test-dir build-fallback --output-on-failure -j
 
 # --- sanitizer gate (skippable for quick iteration)
 if [ "${JAVELIN_SKIP_ASAN:-0}" = "1" ]; then
@@ -202,11 +196,6 @@ for i in 1 2 3; do
         --benchmark_min_time=1 > "BENCH_trace_$i.json"
 done
 if command -v python3 > /dev/null 2>&1; then
-    # Trajectory context (non-gating): speedup over the pre-fast-path
-    # simulator kept from before DESIGN.md §5c landed.
-    python3 scripts/compare_bench.py bench/BENCH_sim.pre_fast_path.json \
-        BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
-        --max-regress 1.0
     # The gates: no more than 10 % below the committed baselines.
     python3 scripts/compare_bench.py bench/BENCH_sim.baseline.json \
         BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
@@ -244,18 +233,6 @@ if command -v python3 > /dev/null 2>&1; then
 else
     echo "ci.sh: python3 not found, skipping benchmark comparison" >&2
 fi
-
-# --- bench history: archive one full JSON run of each suite into the
-# --- local javelin-kv result store, keyed by UTC timestamp. The store
-# --- is gitignored — per-host trend data for javelin-kv get/keys, not
-# --- a gate.
-KV=build/src/tools/javelin-kv
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-for suite in sim gc trace; do
-    "$KV" put BENCH_HISTORY.kv "bench/$stamp/$suite" \
-        "@BENCH_${suite}_1.json"
-done
-echo "bench history: archived sim/gc/trace under bench/$stamp"
 
 # --- statistical energy gate: the pinned-seed ensemble must show no
 # --- statistically significant energy/EDP regression against the

@@ -8,6 +8,7 @@
 #include <system_error>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/units.hh"
 
 namespace javelin {
@@ -101,14 +102,11 @@ std::uint64_t
 parseU64Field(const std::string &field, std::size_t lineNo,
               const char *what)
 {
-    std::uint64_t v = 0;
-    const char *first = field.data();
-    const char *last = field.data() + field.size();
-    const auto res = std::from_chars(first, last, v);
-    if (res.ec != std::errc() || res.ptr != last || field.empty())
+    const auto v = parseUnsigned<std::uint64_t>(field);
+    if (!v)
         JAVELIN_FATAL("power CSV line ", lineNo, ": malformed ", what,
                       " field '", field, "'");
-    return v;
+    return *v;
 }
 
 double

@@ -14,7 +14,7 @@
 #include "harness/ensemble.hh"
 #include "harness/scenario.hh"
 #include "util/json.hh"
-#include "util/kv_store.hh"
+#include "util/parse.hh"
 
 namespace javelin {
 namespace harness {
@@ -237,8 +237,14 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
 
     std::size_t crashAfter = config_.crashAfter;
     if (crashAfter == 0) {
-        if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER"))
-            crashAfter = std::strtoull(env, nullptr, 10);
+        if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER")) {
+            const auto parsed = parseUnsigned<std::size_t>(env);
+            if (!parsed)
+                throw JobEngineError(
+                    std::string("invalid JAVELIN_JOB_CRASH_AFTER='") +
+                    env + "'");
+            crashAfter = *parsed;
+        }
     }
 
     JobReport report;
@@ -392,22 +398,6 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
     for (auto &[g, rec] : known)
         report.records.push_back(std::move(rec));
 
-    // --- optional result store: one batched flush for the whole run.
-    if (!config_.resultStorePath.empty()) {
-        try {
-            KvStore store(config_.resultStorePath);
-            for (const auto &rec : report.records) {
-                std::string line = journalLine(rec);
-                line.pop_back(); // strip the journal's newline
-                store.put(rec.key, line);
-            }
-            store.flush();
-            store.close();
-        } catch (const KvError &e) {
-            throw JobEngineError(std::string("result store: ") +
-                                 e.what());
-        }
-    }
     return report;
 }
 

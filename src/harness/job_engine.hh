@@ -125,17 +125,6 @@ class JobEngine
          * the config leaves it 0.
          */
         std::size_t crashAfter = 0;
-        /**
-         * Also persist every known completion record into a
-         * javelin-kv-v1 store (util/kv_store.hh), keyed by shard key
-         * with the record's journal-line JSON as the value. Written
-         * in one batch at the end of the run — the store merges
-         * requests per page, so a 10,000-shard sweep costs a few
-         * hundred page writes, not 10,000 appends. Repeated runs
-         * against one store accumulate history (last-write-wins per
-         * key). Empty disables.
-         */
-        std::string resultStorePath;
     };
 
     JobEngine() = default;

@@ -6,6 +6,8 @@
 #include <mutex>
 #include <thread>
 
+#include "util/parse.hh"
+
 namespace javelin {
 namespace harness {
 
@@ -72,10 +74,9 @@ SweepRunner::resolveJobs(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("JAVELIN_JOBS")) {
-        char *end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && parsed > 0)
-            return static_cast<unsigned>(parsed);
+        const auto parsed = parseUnsigned<unsigned>(env);
+        if (parsed && *parsed > 0)
+            return *parsed;
         std::cerr << "javelin: ignoring invalid JAVELIN_JOBS='" << env
                   << "'\n";
     }

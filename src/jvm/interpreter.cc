@@ -651,17 +651,6 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
 }
 
 /**
- * Threaded dispatch uses the GNU computed-goto extension; any other
- * compiler (or -DJAVELIN_NO_COMPUTED_GOTO) gets the portable switch.
- * Both modes share the handler bodies in interpreter_ops.inc.
- */
-#if defined(__GNUC__) && !defined(JAVELIN_NO_COMPUTED_GOTO)
-#define JAVELIN_THREADED_DISPATCH 1
-#else
-#define JAVELIN_THREADED_DISPATCH 0
-#endif
-
-/**
  * Fast-path trace gate, run before each dispatch's liveness check: if
  * the pending op is traceable, the whole trace — folded segments plus
  * inline branches, heap accessors and Call/Ret — runs in
@@ -680,7 +669,7 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
     } while (0)
 
 /**
- * Per-bytecode front end, identical for both dispatch modes.
+ * Per-bytecode front end of the threaded dispatch loop.
  *
  * A foldable bytecode always sits at the head of a segment of
  * n = min(static run length, poll countdown, quantum countdown) ≥ 1
@@ -817,8 +806,7 @@ Interpreter::runSlice()
     Address *rr = nullptr;
     std::uint32_t next = 0;
 
-#if JAVELIN_THREADED_DISPATCH
-
+    // Threaded dispatch (GNU computed goto; the build is GCC-only).
     static const void *const kLabels[] = {
 #define JAVELIN_OP_LABEL(name) &&javelin_op_##name,
         JAVELIN_FOR_EACH_OP(JAVELIN_OP_LABEL)
@@ -859,34 +847,6 @@ Interpreter::runSlice()
 #undef JAVELIN_DISPATCH_NEXT
 
 javelin_run_done:;
-
-#else // !JAVELIN_THREADED_DISPATCH
-
-    for (;;) {
-        JAVELIN_MAYBE_TRACE();
-        if (frames_.empty() || halted_ || yield_)
-            break;
-        JAVELIN_FETCH_CHARGE();
-        switch (in->op) {
-#define JAVELIN_OP(name) case Op::name: {
-#define JAVELIN_OP_END \
-    } \
-    f->pc = next; \
-    break;
-#define JAVELIN_OP_END_FRAME \
-    } \
-    break;
-
-#include "jvm/interpreter_ops.inc"
-
-#undef JAVELIN_OP
-#undef JAVELIN_OP_END
-#undef JAVELIN_OP_END_FRAME
-        }
-        JAVELIN_TAIL_CHECKS();
-    }
-
-#endif // JAVELIN_THREADED_DISPATCH
 
     pollCountdown_ = pollCountdown;
     quantumCountdown_ = quantumCountdown;

@@ -19,13 +19,12 @@
  * (the safepoint mechanism) and yields to service work — the optimizing
  * compiler thread — every scheduling quantum.
  *
- * Dispatch is threaded (computed-goto) where the compiler supports it,
- * with a portable switch fallback (define JAVELIN_NO_COMPUTED_GOTO to
- * force it); both paths share one set of opcode handler bodies
+ * Dispatch is threaded (GNU computed goto). The dispatch loop and the
+ * trace executor share one set of opcode handler bodies
  * (interpreter_ops.inc) and drive the cost model from a per-tier,
  * per-opcode precomputed table, so the architectural event stream is
- * identical in either mode and to the original switch loop
- * (DESIGN.md §5d, pinned by tests/test_golden_runs.cc).
+ * identical to the original switch loop (DESIGN.md §5d, pinned by
+ * tests/test_golden_runs.cc).
  */
 
 #ifndef JAVELIN_JVM_INTERPRETER_HH

@@ -16,9 +16,6 @@
  *   --shard i/N        run only shards with index % N == i (multi-host
  *                      partitioning; each partition needs its own
  *                      checkpoint file)
- *   --result-store F   also persist shard records into the
- *                      javelin-kv-v1 store F (query with javelin-kv;
- *                      repeated runs accumulate, last-write-wins)
  *   --builtin NAME     use a committed scenario instead of a file
  *   --print-scenario   print the canonical scenario JSON and exit
  *   --list-builtins    list builtin scenario names and exit
@@ -34,13 +31,13 @@
  * stderr with its shard key); 2 usage, scenario, or checkpoint errors.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <string_view>
 
 #include "harness/job_engine.hh"
 #include "harness/scenario.hh"
+#include "util/parse.hh"
 
 using namespace javelin;
 using namespace javelin::harness;
@@ -54,7 +51,6 @@ usage()
         << "usage: javelin-sweep SCENARIO.json [--out FILE]\n"
            "                     [--checkpoint FILE] [--resume]\n"
            "                     [--jobs N] [--shard i/N]\n"
-           "                     [--result-store FILE]\n"
            "       javelin-sweep --builtin NAME [same options]\n"
            "       javelin-sweep --builtin NAME --print-scenario\n"
            "       javelin-sweep --list-builtins\n";
@@ -62,19 +58,18 @@ usage()
 }
 
 bool
-parseShardSpec(const std::string &spec, std::size_t &index,
+parseShardSpec(std::string_view spec, std::size_t &index,
                std::size_t &count)
 {
     const std::size_t slash = spec.find('/');
-    if (slash == std::string::npos)
+    if (slash == std::string_view::npos)
         return false;
-    char *end = nullptr;
-    index = std::strtoull(spec.c_str(), &end, 10);
-    if (end != spec.c_str() + slash)
+    const auto i = parseUnsigned<std::size_t>(spec.substr(0, slash));
+    const auto n = parseUnsigned<std::size_t>(spec.substr(slash + 1));
+    if (!i || !n || *n == 0 || *i >= *n)
         return false;
-    count = std::strtoull(spec.c_str() + slash + 1, &end, 10);
-    if (*end != '\0' || count == 0 || index >= count)
-        return false;
+    index = *i;
+    count = *n;
     return true;
 }
 
@@ -95,19 +90,21 @@ main(int argc, char **argv)
             outPath = argv[++i];
         } else if (arg == "--checkpoint" && i + 1 < argc) {
             cfg.checkpointPath = argv[++i];
-        } else if (arg == "--result-store" && i + 1 < argc) {
-            cfg.resultStorePath = argv[++i];
         } else if (arg == "--resume") {
             cfg.resume = true;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            cfg.jobs =
-                static_cast<unsigned>(std::strtoul(argv[++i], nullptr,
-                                                   10));
+            const auto jobs = parseUnsigned<unsigned>(argv[++i]);
+            if (!jobs) {
+                std::cerr << "javelin-sweep: bad --jobs value '"
+                          << argv[i] << "' (want an unsigned integer)\n";
+                return 2;
+            }
+            cfg.jobs = *jobs;
         } else if (arg == "--shard" && i + 1 < argc) {
             if (!parseShardSpec(argv[++i], cfg.shardIndex,
                                 cfg.shardCount)) {
-                std::cerr << "javelin-sweep: bad --shard spec (want "
-                             "i/N with i < N)\n";
+                std::cerr << "javelin-sweep: bad --shard spec '"
+                          << argv[i] << "' (want i/N with i < N)\n";
                 return 2;
             }
         } else if (arg == "--builtin" && i + 1 < argc) {

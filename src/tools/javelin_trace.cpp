@@ -46,6 +46,7 @@
 
 #include "core/trace_io.hh"
 #include "core/trace_spool.hh"
+#include "util/parse.hh"
 #include "util/units.hh"
 
 using namespace javelin;
@@ -69,6 +70,22 @@ usage()
            "                            [--crash-after-blocks K]\n"
            "                            [--io-uring] [--print-rss]\n";
     return 2;
+}
+
+/** Parse `text` into `out` as `what`'s unsigned decimal value; on
+ *  malformed input print a diagnostic naming `what` and return false. */
+template <typename T>
+bool
+parseArg(const char *what, const char *text, T &out)
+{
+    const auto v = parseUnsigned<T>(text);
+    if (!v) {
+        std::cerr << "javelin-trace: bad " << what << " value '" << text
+                  << "' (want an unsigned integer)\n";
+        return false;
+    }
+    out = *v;
+    return true;
 }
 
 void
@@ -145,16 +162,19 @@ cmdRecord(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--samples" && i + 1 < argc) {
-            samples = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseArg("--samples", argv[++i], samples))
+                return 2;
         } else if (arg == "--buffer-bytes" && i + 1 < argc) {
-            cfg.bufferBytes = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseArg("--buffer-bytes", argv[++i], cfg.bufferBytes))
+                return 2;
         } else if (arg == "--out" && i + 1 < argc) {
             cfg.path = argv[++i];
         } else if (arg == "--csv-oracle" && i + 1 < argc) {
             oraclePath = argv[++i];
         } else if (arg == "--crash-after-blocks" && i + 1 < argc) {
-            cfg.crashAfterBlocks =
-                std::strtoull(argv[++i], nullptr, 10);
+            if (!parseArg("--crash-after-blocks", argv[++i],
+                          cfg.crashAfterBlocks))
+                return 2;
         } else if (arg == "--io-uring") {
             cfg.backend = TraceSpool::Backend::IoUring;
         } else if (arg == "--print-rss") {
@@ -291,8 +311,11 @@ main(int argc, char **argv)
     if (cmd == "range") {
         if (argc != 5)
             return usage();
-        const Tick from = std::strtoull(argv[3], nullptr, 10);
-        const Tick to = std::strtoull(argv[4], nullptr, 10);
+        Tick from = 0;
+        Tick to = 0;
+        if (!parseArg("FROM_TICK", argv[3], from) ||
+            !parseArg("TO_TICK", argv[4], to))
+            return 2;
         TraceReader reader(path);
         writeCsv(std::cout, reader,
                  reader.kind() == tracefmt::RecordKind::Power

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/parse.hh"
+
 namespace javelin {
 namespace json {
 
@@ -337,12 +339,10 @@ Value::asU64() const
     if (kind != Kind::Number || raw.find_first_of(".eE-") !=
                                     std::string::npos)
         typeError("a non-negative integer");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-    if (errno == ERANGE || end == raw.c_str() || *end != '\0')
+    const auto v = parseUnsigned<std::uint64_t>(raw);
+    if (!v)
         typeError("a 64-bit unsigned integer");
-    return v;
+    return *v;
 }
 
 std::int64_t

@@ -477,8 +477,7 @@ TEST(JobEngine, ShardPartitionsAreDisjointAndMergeByteIdentical)
     EXPECT_EQ(reportBytes(last), expected);
 
     EXPECT_THROW(
-        JobEngine(JobEngine::Config{"", false, 0, 3, 3, {}, {}, {}, 0,
-                                    ""})
+        JobEngine(JobEngine::Config{"", false, 0, 3, 3, {}, {}, {}, 0})
             .run(tasks, scenario.name, hash),
         JobEngineError);
 }

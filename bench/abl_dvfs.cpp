@@ -10,7 +10,6 @@
  * whose stall time does not scale with the core clock.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -26,27 +25,17 @@ int
 main(int argc, char **argv)
 {
     // Declarative sweep: the builtin "abl-dvfs" scenario is the matrix
-    // (pinned as tests/fixtures/abl_dvfs.scenario.json); --scenario-out
-    // exports it for javelin-sweep.
+    // (pinned as tests/fixtures/abl_dvfs.scenario.json;
+    // `javelin-sweep --builtin abl-dvfs --print-scenario` prints it).
     const Scenario scenario = builtinScenario("abl-dvfs");
     std::string traceDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--scenario-out" && i + 1 < argc) {
-            std::ofstream out(argv[++i]);
-            if (!out) {
-                std::cerr << "cannot open " << argv[i] << "\n";
-                return 1;
-            }
-            writeScenario(out, scenario);
-            return 0;
-        }
         if (arg == "--trace-dir" && i + 1 < argc) {
             traceDir = argv[++i];
             continue;
         }
-        std::cerr << "usage: abl_dvfs [--scenario-out FILE] "
-                     "[--trace-dir DIR]\n";
+        std::cerr << "usage: abl_dvfs [--trace-dir DIR]\n";
         return 2;
     }
 
@@ -60,8 +49,8 @@ main(int argc, char **argv)
         for (auto &task : tasks)
             task.config.traceSpoolDir =
                 traceDir + "/" + shardKey(task);
-    const auto outcomes = runSweep(tasks);
-    if (reportSweepFailures(std::cerr, tasks, outcomes) > 0)
+    const auto results = SweepRunner().run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
         return 1;
 
     std::size_t taskIdx = 0;
@@ -69,9 +58,8 @@ main(int argc, char **argv)
         Table t({"point", "freq(GHz)", "volts", "time(ms)", "energy(J)",
                  "EDP(mJ*s)"});
         for (std::size_t i = 0; i < spec.dvfsPoints.size(); ++i) {
-            const auto &outcome = outcomes[taskIdx++];
-            const auto &res = outcome.result;
-            if (!outcome.ok())
+            const auto &res = results[taskIdx++];
+            if (!res.ok())
                 continue;
             t.beginRow();
             t.cell(static_cast<std::int64_t>(i));

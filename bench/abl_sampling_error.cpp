@@ -39,6 +39,7 @@
 
 #include "harness/ensemble.hh"
 #include "harness/experiment.hh"
+#include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -199,12 +200,14 @@ main()
         cfg.daqPeriod = us * kTicksPerMicro;
         tasks.push_back({cfg, workloads::benchmark("_213_javac")});
     }
-    const auto outcomes = runSweep(tasks);
+    const auto results = SweepRunner().run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
         const Tick us = periodsUs[i];
-        const auto &res = outcomes[i].result;
-        if (!outcomes[i].ok())
+        const auto &res = results[i];
+        if (!res.ok())
             continue;
 
         const auto errOf = [&](core::ComponentId id) {

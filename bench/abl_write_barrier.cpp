@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "harness/experiment.hh"
+#include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "util/table.hh"
 
@@ -38,13 +39,15 @@ main()
         cfg.chargeBarrierCost = false;
         tasks.push_back({cfg, workloads::benchmark(name)});
     }
-    const auto outcomes = runSweep(tasks);
+    const auto results = SweepRunner().run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         const char *name = names[i];
-        const auto &with = outcomes[2 * i].result;
-        const auto &without = outcomes[2 * i + 1].result;
-        if (!outcomes[2 * i].ok() || !outcomes[2 * i + 1].ok())
+        const auto &with = results[2 * i];
+        const auto &without = results[2 * i + 1];
+        if (!with.ok() || !without.ok())
             continue;
 
         t.beginRow();

@@ -16,28 +16,38 @@
  * fixed seed list at any JAVELIN_JOBS setting.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "harness/ensemble.hh"
 #include "harness/scenario.hh"
+#include "util/parse.hh"
 
 using namespace javelin;
 using namespace javelin::harness;
 
 namespace {
 
-std::vector<std::uint64_t>
+/**
+ * Parse a comma-separated seed list; empty items are skipped. Returns
+ * nullopt when any item is not an unsigned 64-bit decimal.
+ */
+std::optional<std::vector<std::uint64_t>>
 parseSeeds(const std::string &csv)
 {
     std::vector<std::uint64_t> seeds;
     std::istringstream is(csv);
     std::string item;
-    while (std::getline(is, item, ','))
-        if (!item.empty())
-            seeds.push_back(std::stoull(item));
+    while (std::getline(is, item, ',')) {
+        if (item.empty())
+            continue;
+        const auto seed = parseUnsigned<std::uint64_t>(item);
+        if (!seed)
+            return std::nullopt;
+        seeds.push_back(*seed);
+    }
     return seeds;
 }
 
@@ -48,7 +58,6 @@ main(int argc, char **argv)
 {
     std::string outPath;
     std::string scenarioPath;
-    std::string scenarioOutPath;
     EnsembleConfig cfg;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
@@ -56,18 +65,23 @@ main(int argc, char **argv)
         if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
         } else if (arg == "--seeds" && i + 1 < argc) {
-            cfg.seeds = parseSeeds(argv[++i]);
+            const auto seeds = parseSeeds(argv[++i]);
+            if (!seeds) {
+                std::cerr << "ensemble_report: bad --seeds value '"
+                          << argv[i]
+                          << "' (want comma-separated unsigned "
+                             "integers)\n";
+                return 2;
+            }
+            cfg.seeds = *seeds;
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--scenario" && i + 1 < argc) {
             scenarioPath = argv[++i];
-        } else if (arg == "--scenario-out" && i + 1 < argc) {
-            scenarioOutPath = argv[++i];
         } else {
             std::cerr << "usage: ensemble_report [--out FILE] "
                          "[--seeds 1,2,...] [--quick]\n"
-                         "                       [--scenario FILE] "
-                         "[--scenario-out FILE]\n";
+                         "                       [--scenario FILE]\n";
             return 2;
         }
     }
@@ -94,16 +108,6 @@ main(int argc, char **argv)
     if (quick && scenarioPath.empty()) {
         scenario.benchmarks = {"_202_jess"};
         scenario.collectors = {jvm::CollectorKind::SemiSpace};
-    }
-    if (!scenarioOutPath.empty()) {
-        std::ofstream out(scenarioOutPath);
-        if (!out) {
-            std::cerr << "ensemble_report: cannot open "
-                      << scenarioOutPath << "\n";
-            return 1;
-        }
-        writeScenario(out, scenario);
-        return 0;
     }
 
     cfg.progress = consoleProgress("ensemble");

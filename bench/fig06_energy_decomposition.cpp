@@ -51,14 +51,15 @@ main()
     }
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig06 sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
+    const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
-    for (const auto &outcome : outcomes) {
-        const auto &res = outcome.result;
+    for (const auto &res : results) {
         const auto &bench = workloads::benchmark(res.benchmark);
         const std::uint32_t heap = res.config.heapNominalMB;
         rows.push_back(res);
-        if (!outcome.ok())
+        if (!res.ok())
             continue;
         const double gc =
             res.attribution.energyFraction(core::ComponentId::Gc);

@@ -13,7 +13,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "core/energy_accounting.hh"
@@ -29,27 +28,18 @@ int
 main(int argc, char **argv)
 {
     // The sweep is data, not code: the builtin "fig07-edp" scenario is
-    // the matrix, --scenario-out exports it for javelin-sweep (the
-    // committed copy is tests/fixtures/fig07_edp.scenario.json).
+    // the matrix (`javelin-sweep --builtin fig07-edp --print-scenario`
+    // prints it; the committed copy is
+    // tests/fixtures/fig07_edp.scenario.json).
     Scenario scenario = builtinScenario("fig07-edp");
     std::string traceDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--scenario-out" && i + 1 < argc) {
-            std::ofstream out(argv[++i]);
-            if (!out) {
-                std::cerr << "cannot open " << argv[i] << "\n";
-                return 1;
-            }
-            writeScenario(out, scenario);
-            return 0;
-        }
         if (arg == "--trace-dir" && i + 1 < argc) {
             traceDir = argv[++i];
             continue;
         }
-        std::cerr << "usage: fig07_edp_collectors [--scenario-out "
-                     "FILE] [--trace-dir DIR]\n";
+        std::cerr << "usage: fig07_edp_collectors [--trace-dir DIR]\n";
         return 2;
     }
 
@@ -72,15 +62,15 @@ main(int argc, char **argv)
                 traceDir + "/" + shardKey(task);
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig07 sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
-    if (reportSweepFailures(std::cerr, tasks, outcomes) > 0)
+    const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
         return 1;
 
     std::vector<std::vector<ExperimentResult>> rows;
-    for (std::size_t i = 0; i < outcomes.size(); i += heaps.size()) {
+    for (std::size_t i = 0; i < results.size(); i += heaps.size()) {
         std::vector<ExperimentResult> row;
         for (std::size_t h = 0; h < heaps.size(); ++h)
-            row.push_back(outcomes[i + h].result);
+            row.push_back(results[i + h]);
         rows.push_back(std::move(row));
     }
 

@@ -48,12 +48,13 @@ main()
     }
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig08 sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
+    const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
-    for (const auto &outcome : outcomes) {
-        const auto &res = outcome.result;
+    for (const auto &res : results) {
         rows.push_back(res);
-        if (!outcome.ok())
+        if (!res.ok())
             continue;
         const auto &app =
             res.attribution.powerOf(core::ComponentId::App);

@@ -42,7 +42,9 @@ main()
     }
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig10 sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
+    const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     std::vector<std::vector<ExperimentResult>> rows;
     RunningStat flatness; // max/min EDP ratio per benchmark
@@ -50,7 +52,7 @@ main()
         std::vector<ExperimentResult> row;
         double lo = 1e300, hi = 0;
         for (std::size_t h = 0; h < heaps.size(); ++h) {
-            row.push_back(outcomes[b * heaps.size() + h].result);
+            row.push_back(results[b * heaps.size() + h]);
             if (row.back().ok()) {
                 lo = std::min(lo, row.back().edp());
                 hi = std::max(hi, row.back().edp());

@@ -17,7 +17,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -29,22 +28,14 @@ using namespace javelin;
 using namespace javelin::harness;
 
 int
-main(int argc, char **argv)
+main(int argc, char **)
 {
+    // The builtin "cotenancy-interference" scenario is the matrix
+    // (`javelin-sweep --builtin cotenancy-interference
+    // --print-scenario` prints it).
     Scenario scenario = builtinScenario("cotenancy-interference");
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--scenario-out" && i + 1 < argc) {
-            std::ofstream out(argv[++i]);
-            if (!out) {
-                std::cerr << "cannot open " << argv[i] << "\n";
-                return 1;
-            }
-            writeScenario(out, scenario);
-            return 0;
-        }
-        std::cerr << "usage: fig_cotenancy_interference "
-                     "[--scenario-out FILE]\n";
+    if (argc > 1) {
+        std::cerr << "usage: fig_cotenancy_interference\n";
         return 2;
     }
 
@@ -56,8 +47,8 @@ main(int argc, char **argv)
     const auto tasks = expandScenario(scenario);
     SweepRunner::Config rc;
     rc.progress = consoleProgress("cotenancy sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
-    if (reportSweepFailures(std::cerr, tasks, outcomes) > 0)
+    const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
         return 1;
 
     std::cout << "=== Co-tenancy interference: shared P6 budget, "
@@ -70,8 +61,8 @@ main(int argc, char **argv)
                        "cpu(J)", "mem(J)", "served", "J/req",
                        "p95(us)", "gc-pause(ms)"});
 
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const ExperimentResult &r = outcomes[i].result;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const ExperimentResult &r = results[i];
         const CoTenancyResult &ct = r.cotenancy;
         const auto &cfg = tasks[i].config;
 
@@ -131,11 +122,11 @@ main(int argc, char **argv)
             double base = -1.0, peak = -1.0;
             std::uint32_t peakTenants = 0;
             double peakGcBlockedUs = 0.0;
-            for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            for (std::size_t i = 0; i < results.size(); ++i) {
                 if (tasks[i].profile.name != bench ||
                     tasks[i].config.collector != collector)
                     continue;
-                const auto &ct = outcomes[i].result.cotenancy;
+                const auto &ct = results[i].cotenancy;
                 double jpr = 0.0;
                 std::uint64_t served = 0;
                 for (const auto &a : ct.tenants) {

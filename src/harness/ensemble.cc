@@ -1,7 +1,6 @@
 #include "harness/ensemble.hh"
 
 #include <cmath>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 
@@ -115,8 +114,6 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
     };
     std::vector<MemberOutcome> members(total);
 
-    std::mutex progressMutex;
-    std::size_t done = 0;
     SweepRunner::parallelFor(
         total,
         [&](std::size_t flat) {
@@ -132,29 +129,15 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
                 task.config.senseNoiseVoltsRms =
                     config_.senseNoiseVoltsRms;
 
+            const ExperimentResult res = runTask(task);
             auto &slot = members[flat];
-            try {
-                const ExperimentResult res =
-                    runExperiment(task.config, task.profile);
-                if (res.ok()) {
-                    slot.metrics = ensembleMetrics(res);
-                    slot.ok = true;
-                } else {
-                    slot.error = res.run.outOfMemory
-                                     ? "out of memory"
-                                     : "stack overflow";
-                }
-            } catch (const std::exception &e) {
-                slot.error = e.what();
-            } catch (...) {
-                slot.error = "unknown exception";
-            }
-            if (config_.progress) {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                config_.progress(++done, total);
-            }
+            slot.ok = res.ok();
+            if (slot.ok)
+                slot.metrics = ensembleMetrics(res);
+            else
+                slot.error = failureText(res);
         },
-        config_.jobs);
+        config_.jobs, config_.progress);
 
     const auto &names = ensembleMetricNames();
     std::vector<EnsembleCellResult> results(cells.size());

@@ -1,7 +1,9 @@
 /**
  * @file
- * Seed-ensemble experiment runner: the statistical layer over
- * SweepRunner (ROADMAP item 4).
+ * Seed-ensemble experiment runner: the statistical layer over the
+ * shared sweep path (ROADMAP item 4). Members run on
+ * SweepRunner::parallelFor through runTask, and a failed member's
+ * error is failureText(), the same text the job engine journals.
  *
  * A single pinned run cannot distinguish a real energy regression from
  * run-to-run variation, so the regression harness runs every

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 
 #include "core/energy_accounting.hh"
@@ -47,6 +48,75 @@ scaledPlatformSpec(const ExperimentConfig &config)
     return spec;
 }
 
+namespace {
+
+/**
+ * The measurement rig both run shapes share: attach the DAQ (tee-ing
+ * into trace spools under config.traceSpoolDir), the HPM sampler and
+ * the ground-truth accountant to `port`, execute `run`, stop the
+ * instruments and fill the measured fields of `res`. The construction
+ * and call order are part of the simulated output (the golden runs pin
+ * it), so keep it.
+ */
+void
+measure(const ExperimentConfig &config, sim::System &system,
+        core::ComponentPort &port, ExperimentResult &res,
+        const std::function<void()> &run)
+{
+    core::Daq::Config daqCfg;
+    daqCfg.cpuSense.noiseVoltsRms = config.senseNoiseVoltsRms;
+    daqCfg.cpuSense.seed = config.seed * 31 + 1;
+    daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
+    daqCfg.memSense.seed = config.seed * 31 + 2;
+    // Optional async trace capture (tee: the in-memory traces still
+    // feed attribution, the spools persist them without touching the
+    // measured path's results).
+    std::unique_ptr<core::TraceSpool> powerSpool, perfSpool;
+    if (!config.traceSpoolDir.empty()) {
+        std::filesystem::create_directories(config.traceSpoolDir);
+        core::TraceSpool::Config sp;
+        sp.backend = core::TraceSpool::backendFromEnv();
+        sp.path = config.traceSpoolDir + "/" + res.benchmark +
+                  ".power.jtrc";
+        sp.kind = core::tracefmt::RecordKind::Power;
+        powerSpool = std::make_unique<core::TraceSpool>(sp);
+        sp.path = config.traceSpoolDir + "/" + res.benchmark +
+                  ".perf.jtrc";
+        sp.kind = core::tracefmt::RecordKind::Perf;
+        perfSpool = std::make_unique<core::TraceSpool>(sp);
+        daqCfg.spool = powerSpool.get();
+    }
+    core::Daq daq(system, port, daqCfg);
+    core::HpmSampler::Config hpmCfg;
+    hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
+    hpmCfg.spool = perfSpool.get();
+    core::HpmSampler hpm(system, port, hpmCfg);
+    core::GroundTruthAccountant truth(system, port);
+
+    run();
+    truth.finalize();
+    // Flush the in-progress partial sampling windows so measured
+    // totals conserve the run's full energy/counter deltas.
+    daq.stop();
+    hpm.stop();
+    if (powerSpool)
+        powerSpool->close();
+    if (perfSpool)
+        perfSpool->close();
+    res.counters = system.counters();
+
+    res.attribution = core::attribute(daq.trace(), hpm.trace());
+    for (std::size_t i = 0; i < core::kNumComponents; ++i)
+        res.groundTruth[i] =
+            truth.slice(static_cast<core::ComponentId>(i));
+    res.groundTruthCpuJoules = truth.totalCpuJoules();
+    res.groundTruthMemJoules = truth.totalMemJoules();
+    res.maxTemperatureC = system.thermal().maxTemperatureC();
+    res.throttledSeconds = system.thermal().throttledSeconds();
+}
+
+} // namespace
+
 ExperimentResult
 runExperiment(const ExperimentConfig &config, const jvm::Program &program)
 {
@@ -69,57 +139,7 @@ runExperiment(const ExperimentConfig &config, const jvm::Program &program)
         system.dvfs().set(static_cast<std::size_t>(config.dvfsPoint));
 
     jvm::Jvm vm(system, program, vmCfg);
-
-    core::Daq::Config daqCfg;
-    daqCfg.cpuSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.cpuSense.seed = config.seed * 31 + 1;
-    daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.memSense.seed = config.seed * 31 + 2;
-    // Optional async trace capture (tee: the in-memory traces still
-    // feed attribution, the spools persist them without touching the
-    // measured path's results).
-    std::unique_ptr<core::TraceSpool> powerSpool, perfSpool;
-    if (!config.traceSpoolDir.empty()) {
-        std::filesystem::create_directories(config.traceSpoolDir);
-        core::TraceSpool::Config sp;
-        sp.backend = core::TraceSpool::backendFromEnv();
-        sp.path = config.traceSpoolDir + "/" + program.name +
-                  ".power.jtrc";
-        sp.kind = core::tracefmt::RecordKind::Power;
-        powerSpool = std::make_unique<core::TraceSpool>(sp);
-        sp.path = config.traceSpoolDir + "/" + program.name +
-                  ".perf.jtrc";
-        sp.kind = core::tracefmt::RecordKind::Perf;
-        perfSpool = std::make_unique<core::TraceSpool>(sp);
-        daqCfg.spool = powerSpool.get();
-    }
-    core::Daq daq(system, vm.port(), daqCfg);
-    core::HpmSampler::Config hpmCfg;
-    hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
-    hpmCfg.spool = perfSpool.get();
-    core::HpmSampler hpm(system, vm.port(), hpmCfg);
-    core::GroundTruthAccountant truth(system, vm.port());
-
-    res.run = vm.run();
-    truth.finalize();
-    // Flush the in-progress partial sampling windows so measured
-    // totals conserve the run's full energy/counter deltas.
-    daq.stop();
-    hpm.stop();
-    if (powerSpool)
-        powerSpool->close();
-    if (perfSpool)
-        perfSpool->close();
-    res.counters = system.counters();
-
-    res.attribution = core::attribute(daq.trace(), hpm.trace());
-    for (std::size_t i = 0; i < core::kNumComponents; ++i)
-        res.groundTruth[i] =
-            truth.slice(static_cast<core::ComponentId>(i));
-    res.groundTruthCpuJoules = truth.totalCpuJoules();
-    res.groundTruthMemJoules = truth.totalMemJoules();
-    res.maxTemperatureC = system.thermal().maxTemperatureC();
-    res.throttledSeconds = system.thermal().throttledSeconds();
+    measure(config, system, vm.port(), res, [&] { res.run = vm.run(); });
     return res;
 }
 
@@ -189,31 +209,8 @@ runCoTenancy(const ExperimentConfig &config,
         set.add(spec);
     }
 
-    core::Daq::Config daqCfg;
-    daqCfg.cpuSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.cpuSense.seed = config.seed * 31 + 1;
-    daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.memSense.seed = config.seed * 31 + 2;
-    core::Daq daq(system, port, daqCfg);
-    core::HpmSampler::Config hpmCfg;
-    hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
-    core::HpmSampler hpm(system, port, hpmCfg);
-    core::GroundTruthAccountant truth(system, port);
-
-    res.cotenancy = set.run();
-    truth.finalize();
-    daq.stop();
-    hpm.stop();
-    res.counters = system.counters();
-
-    res.attribution = core::attribute(daq.trace(), hpm.trace());
-    for (std::size_t i = 0; i < core::kNumComponents; ++i)
-        res.groundTruth[i] =
-            truth.slice(static_cast<core::ComponentId>(i));
-    res.groundTruthCpuJoules = truth.totalCpuJoules();
-    res.groundTruthMemJoules = truth.totalMemJoules();
-    res.maxTemperatureC = system.thermal().maxTemperatureC();
-    res.throttledSeconds = system.thermal().throttledSeconds();
+    measure(config, system, port, res,
+            [&] { res.cotenancy = set.run(); });
 
     // Cross-tenant aggregate rollup, so every downstream consumer of
     // ExperimentResult::run keeps working on co-tenancy shards.

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "harness/ensemble.hh"
 #include "harness/scenario.hh"
@@ -235,16 +234,14 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
                              std::to_string(config_.shardIndex) + "/" +
                              std::to_string(config_.shardCount));
 
-    std::size_t crashAfter = config_.crashAfter;
-    if (crashAfter == 0) {
-        if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER")) {
-            const auto parsed = parseUnsigned<std::size_t>(env);
-            if (!parsed)
-                throw JobEngineError(
-                    std::string("invalid JAVELIN_JOB_CRASH_AFTER='") +
-                    env + "'");
-            crashAfter = *parsed;
-        }
+    std::size_t crashAfter = 0;
+    if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER")) {
+        const auto parsed = parseUnsigned<std::size_t>(env);
+        if (!parsed)
+            throw JobEngineError(
+                std::string("invalid JAVELIN_JOB_CRASH_AFTER='") + env +
+                "'");
+        crashAfter = *parsed;
     }
 
     JobReport report;
@@ -303,53 +300,37 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
             pending.push_back(g);
     }
 
-    // --- worker pool over the pending list. Seeds key off the GLOBAL
-    // shard index, so results are invariant to what happens to be
-    // pending (the byte-identical-resume property).
-    const auto &execute = config_.execute;
+    // --- the shared worker pool over the pending list. Seeds key off
+    // the GLOBAL shard index, so results are invariant to what happens
+    // to be pending (the byte-identical-resume property).
     std::vector<ShardRecord> fresh(pending.size());
     std::vector<char> produced(pending.size(), 0);
-    std::atomic<std::size_t> cursor{0};
     std::atomic<bool> stop{false};
     std::mutex commitMutex;
     std::size_t committed = 0;
 
-    const auto worker = [&] {
-        for (;;) {
+    SweepRunner::parallelFor(
+        pending.size(),
+        [&](std::size_t i) {
+            // After a keepGoing abort, claimed indices return at once.
             if (stop.load(std::memory_order_acquire))
                 return;
-            const std::size_t i = cursor.fetch_add(1);
-            if (i >= pending.size())
-                return;
             const std::size_t g = pending[i];
+            SweepTask task = tasks[g];
+            task.config.seed =
+                SweepRunner::taskSeed(task.config.seed, g);
+            const ExperimentResult res = runTask(task, config_.execute);
 
             ShardRecord rec;
             rec.shard = g;
             rec.key = shardKey(tasks[g]);
-            SweepTask task = tasks[g];
-            task.config.seed =
-                SweepRunner::taskSeed(task.config.seed, g);
-            try {
-                const ExperimentResult res =
-                    execute ? execute(task)
-                            : runExperiment(task.config, task.profile);
-                if (res.ok()) {
-                    rec.ok = true;
-                    rec.metrics = ensembleMetrics(res);
-                    rec.gcCollections = res.run.gc.collections;
-                    rec.bytecodes = res.run.bytecodesExecuted;
-                } else if (res.failed) {
-                    rec.error = res.failMessage.empty()
-                                    ? "harness failure"
-                                    : res.failMessage;
-                } else {
-                    rec.error = res.run.outOfMemory ? "out of memory"
-                                                    : "stack overflow";
-                }
-            } catch (const std::exception &e) {
-                rec.error = e.what();
-            } catch (...) {
-                rec.error = "unknown exception";
+            rec.ok = res.ok();
+            if (rec.ok) {
+                rec.metrics = ensembleMetrics(res);
+                rec.gcCollections = res.run.gc.collections;
+                rec.bytecodes = res.run.bytecodesExecuted;
+            } else {
+                rec.error = failureText(res);
             }
 
             std::lock_guard<std::mutex> lock(commitMutex);
@@ -371,22 +352,8 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
             }
             if (config_.keepGoing && !config_.keepGoing(committed))
                 stop.store(true, std::memory_order_release);
-        }
-    };
-
-    unsigned jobs = SweepRunner::resolveJobs(config_.jobs);
-    if (jobs > pending.size())
-        jobs = static_cast<unsigned>(pending.size());
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            workers.emplace_back(worker);
-        for (auto &w : workers)
-            w.join();
-    }
+        },
+        config_.jobs);
 
     report.aborted = stop.load();
     for (std::size_t i = 0; i < fresh.size(); ++i)

@@ -4,11 +4,13 @@
  *
  * SweepRunner is a one-shot fork-join loop: a crash at shard 9,000 of
  * 10,000 loses everything. JobEngine shards a sweep into independent
- * work items, executes them on the same deterministic worker pool, and
- * journals one completion record per shard — shard index, shard key,
- * and the result payload — to an append-only checkpoint file (JSON
- * lines, schema "javelin-journal-v1"). A killed run restarts with
- * --resume and re-executes only the shards missing from the journal.
+ * work items, executes them through the shared sweep path
+ * (SweepRunner::parallelFor for the pool, runTask for each shard,
+ * failureText for a failed shard's error), and journals one
+ * completion record per shard — shard index, shard key, and the
+ * result payload — to an append-only checkpoint file (JSON lines,
+ * schema "javelin-journal-v1"). A killed run restarts with --resume
+ * and re-executes only the shards missing from the journal.
  *
  * Determinism: the per-shard seed is SweepRunner::taskSeed(seed,
  * global shard index), so a shard computes the same result whether it
@@ -30,7 +32,9 @@
  * Fault-injection hooks: JAVELIN_JOB_CRASH_AFTER=<n> raises SIGKILL
  * immediately after the n-th record commits (the CI kill-and-resume
  * smoke), and Config::keepGoing lets tests abort in-process at an
- * exact commit count without tearing down the test binary.
+ * exact commit count without tearing down the test binary: shards
+ * already running still commit, every shard claimed after the abort
+ * is skipped.
  */
 
 #ifndef JAVELIN_HARNESS_JOB_ENGINE_HH
@@ -111,7 +115,7 @@ class JobEngine
         /** Called (under the commit lock) as (done, partition total). */
         SweepRunner::Progress progress;
         /** Task executor; defaults to runExperiment (tests override). */
-        std::function<ExperimentResult(const SweepTask &)> execute;
+        TaskExecutor execute;
         /**
          * In-process kill switch: called after every record commit
          * with the number committed this invocation; returning false
@@ -119,12 +123,6 @@ class JobEngine
          * JobReport::aborted set). Null means always keep going.
          */
         std::function<bool(std::size_t)> keepGoing;
-        /**
-         * Raise SIGKILL after this many commits (0 = off). The
-         * JAVELIN_JOB_CRASH_AFTER environment variable sets this when
-         * the config leaves it 0.
-         */
-        std::size_t crashAfter = 0;
     };
 
     JobEngine() = default;

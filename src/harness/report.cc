@@ -144,23 +144,20 @@ printRunSummary(std::ostream &os, const ExperimentResult &r)
 std::size_t
 reportSweepFailures(std::ostream &os,
                     const std::vector<SweepTask> &tasks,
-                    const std::vector<SweepOutcome> &outcomes)
+                    const std::vector<ExperimentResult> &results)
 {
     // Harness failures only: a simulated OOM/stack overflow is a
     // legitimate experimental result ("did not fit", shown as OOM in
     // the tables), but a worker exception means the shard never ran.
     std::size_t failures = 0;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const auto &o = outcomes[i];
-        if (!o.error.failed && !o.result.failed)
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].failed)
             continue;
         ++failures;
         const std::string key =
             i < tasks.size() ? shardKey(tasks[i]) : "<unknown shard>";
         os << "sweep failure: shard " << i << " [" << key
-           << "]: " << (o.error.failed ? o.error.message
-                                       : o.result.failMessage)
-           << "\n";
+           << "]: " << failureText(results[i]) << "\n";
     }
     return failures;
 }

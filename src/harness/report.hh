@@ -48,14 +48,15 @@ Table powerTable(const std::vector<ExperimentResult> &results,
 void printRunSummary(std::ostream &os, const ExperimentResult &res);
 
 /**
- * Surface every failed sweep outcome (shard key + error message) on
- * os; returns the failure count. Drivers call this instead of
- * silently indexing outcome.result — a worker exception must never
- * disappear into a table of zeros.
+ * Surface every harness failure of a sweep (shard key + failureText)
+ * on os; returns the failure count. A simulated OOM or stack overflow
+ * is a legitimate cell, not a failure. Drivers call this before
+ * building their tables — a worker exception must never disappear
+ * into a table of zeros.
  */
 std::size_t reportSweepFailures(std::ostream &os,
                                 const std::vector<SweepTask> &tasks,
-                                const std::vector<SweepOutcome> &outcomes);
+                                const std::vector<ExperimentResult> &results);
 
 } // namespace harness
 } // namespace javelin

@@ -35,38 +35,40 @@ drainQueue(std::atomic<std::size_t> &next, std::size_t total,
     }
 }
 
-void
-runPool(std::size_t total, unsigned jobs,
-        const std::function<void(std::size_t)> &work,
-        const SweepRunner::Progress &progress)
+} // namespace
+
+ExperimentResult
+runTask(const SweepTask &task, const TaskExecutor &execute)
 {
-    std::atomic<std::size_t> next{0};
-    std::mutex progressMutex;
-    std::size_t done = 0;
-
-    if (total == 0)
-        return;
-    if (jobs > total)
-        jobs = static_cast<unsigned>(total);
-    if (jobs <= 1) {
-        // Serial path on the calling thread (JAVELIN_JOBS=1): easier to
-        // debug and guaranteed free of thread scheduling entirely.
-        drainQueue(next, total, work, &progressMutex, &done, progress);
-        return;
+    std::string error;
+    try {
+        return execute ? execute(task)
+                       : runExperiment(task.config, task.profile);
+    } catch (const std::exception &e) {
+        error = e.what();
+    } catch (...) {
+        error = "unknown exception";
     }
-
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t)
-        workers.emplace_back([&] {
-            drainQueue(next, total, work, &progressMutex, &done,
-                       progress);
-        });
-    for (auto &w : workers)
-        w.join();
+    ExperimentResult res;
+    res.config = task.config;
+    res.benchmark = task.profile.name;
+    res.failed = true;
+    res.failMessage = std::move(error);
+    return res;
 }
 
-} // namespace
+std::string
+failureText(const ExperimentResult &res)
+{
+    if (res.failed)
+        return res.failMessage.empty() ? "harness failure"
+                                       : res.failMessage;
+    if (res.run.outOfMemory)
+        return "out of memory";
+    if (res.run.stackOverflow)
+        return "stack overflow";
+    return "";
+}
 
 unsigned
 SweepRunner::resolveJobs(unsigned requested)
@@ -96,57 +98,50 @@ SweepRunner::taskSeed(std::uint64_t base_seed, std::size_t index)
     return z ^ (z >> 31);
 }
 
-std::vector<SweepOutcome>
+std::vector<ExperimentResult>
 SweepRunner::run(const std::vector<SweepTask> &tasks) const
 {
-    std::vector<SweepOutcome> outcomes(tasks.size());
-    const auto &execute = config_.execute;
-
-    runPool(
-        tasks.size(), resolveJobs(config_.jobs),
+    std::vector<ExperimentResult> results(tasks.size());
+    parallelFor(
+        tasks.size(),
         [&](std::size_t i) {
             SweepTask task = tasks[i];
             task.config.seed = taskSeed(task.config.seed, i);
-            try {
-                outcomes[i].result =
-                    execute ? execute(task)
-                            : runExperiment(task.config, task.profile);
-            } catch (const std::exception &e) {
-                outcomes[i].error = {true, e.what()};
-            } catch (...) {
-                outcomes[i].error = {true, "unknown exception"};
-            }
-            if (outcomes[i].error.failed) {
-                // A failed task must not look like a successful
-                // zero-energy run: stamp the outcome's result with the
-                // task identity and the failure so report tables and
-                // summaries surface it (result.ok() is now false).
-                auto &res = outcomes[i].result;
-                res.config = task.config;
-                res.benchmark = task.profile.name;
-                res.failed = true;
-                res.failMessage = outcomes[i].error.message;
-            }
+            results[i] = runTask(task, config_.execute);
         },
-        config_.progress);
-
-    return outcomes;
+        config_.jobs, config_.progress);
+    return results;
 }
 
 void
 SweepRunner::parallelFor(std::size_t n,
                          const std::function<void(std::size_t)> &fn,
-                         unsigned jobs)
+                         unsigned jobs, const Progress &progress)
 {
-    runPool(n, resolveJobs(jobs), fn, nullptr);
-}
+    if (n == 0)
+        return;
+    jobs = resolveJobs(jobs);
+    if (jobs > n)
+        jobs = static_cast<unsigned>(n);
 
-std::vector<SweepOutcome>
-runSweep(const std::vector<SweepTask> &tasks, unsigned jobs)
-{
-    SweepRunner::Config cfg;
-    cfg.jobs = jobs;
-    return SweepRunner(cfg).run(tasks);
+    std::atomic<std::size_t> next{0};
+    std::mutex progressMutex;
+    std::size_t done = 0;
+    if (jobs <= 1) {
+        // Serial path on the calling thread (JAVELIN_JOBS=1): easier to
+        // debug and guaranteed free of thread scheduling entirely.
+        drainQueue(next, n, fn, &progressMutex, &done, progress);
+        return;
+    }
+
+    std::vector<std::thread> workers;
+    workers.reserve(jobs);
+    for (unsigned t = 0; t < jobs; ++t)
+        workers.emplace_back([&] {
+            drainQueue(next, n, fn, &progressMutex, &done, progress);
+        });
+    for (auto &w : workers)
+        w.join();
 }
 
 SweepRunner::Progress

@@ -1,6 +1,7 @@
 /**
  * @file
- * Parallel experiment-sweep engine.
+ * The one sweep execution path: worker pool, task runner and failure
+ * text shared by SweepRunner, JobEngine and EnsembleRunner.
  *
  * The paper's headline results are full-factorial sweeps (benchmarks x
  * collectors x heap sizes); every run constructs an independent
@@ -11,14 +12,18 @@
  *  - each task's config seed is re-derived from (config.seed, task
  *    index) with taskSeed(), so noise streams are independent per task
  *    and identical whether the sweep runs serially or in parallel;
- *  - an exception escaping one task is captured into that outcome's
- *    SweepError instead of aborting the whole sweep;
+ *  - every task runs through runTask(), which turns an escaping
+ *    exception into a failed ExperimentResult (failed/failMessage)
+ *    instead of aborting the whole sweep;
  *  - an optional progress callback reports completed/total counts for
  *    long runs.
  *
- * The worker count defaults to std::thread::hardware_concurrency() and
- * can be overridden with Config::jobs or the JAVELIN_JOBS environment
- * variable (JAVELIN_JOBS=1 forces serial execution for debugging).
+ * parallelFor() is the only place in the harness that starts threads;
+ * the job engine and the ensemble runner drive their own index spaces
+ * through it. The worker count defaults to
+ * std::thread::hardware_concurrency() and can be overridden with
+ * Config::jobs or the JAVELIN_JOBS environment variable (JAVELIN_JOBS=1
+ * forces serial execution for debugging).
  */
 
 #ifndef JAVELIN_HARNESS_SWEEP_HH
@@ -40,24 +45,26 @@ struct SweepTask
     workloads::BenchmarkProfile profile;
 };
 
-/** Failure record for one task (empty message means the task ran). */
-struct SweepError
-{
-    bool failed = false;
-    std::string message;
+/** Task executor: runs one task (runExperiment by default). */
+using TaskExecutor = std::function<ExperimentResult(const SweepTask &)>;
 
-    explicit operator bool() const { return failed; }
-};
+/**
+ * Run one task through `execute` (runExperiment when null). An
+ * exception escaping the executor is caught: the returned result
+ * carries the task's config and benchmark with failed = true and
+ * failMessage = what() ("unknown exception" for non-std throws), so a
+ * failed task can never masquerade as a successful zero-energy run.
+ * The caller sets the task's seeds before the call.
+ */
+ExperimentResult runTask(const SweepTask &task,
+                         const TaskExecutor &execute = nullptr);
 
-/** Result slot for one task, in the same position as its input. */
-struct SweepOutcome
-{
-    ExperimentResult result;
-    SweepError error;
-
-    /** Ran to completion and the simulated run itself succeeded. */
-    bool ok() const { return !error.failed && result.ok(); }
-};
+/**
+ * The failure text of a result that is not ok(): the harness failure
+ * message ("harness failure" when empty), else "out of memory" or
+ * "stack overflow". Empty for a successful run.
+ */
+std::string failureText(const ExperimentResult &res);
 
 /**
  * Thread-pool sweep engine. Stateless between run() calls; one instance
@@ -82,29 +89,33 @@ class SweepRunner
          * Task executor; defaults to runExperiment. A custom executor
          * supports study-specific rigs and failure-injection tests.
          */
-        std::function<ExperimentResult(const SweepTask &)> execute;
+        TaskExecutor execute;
     };
 
     SweepRunner() = default;
     explicit SweepRunner(Config config) : config_(std::move(config)) {}
 
     /**
-     * Run every task and return outcomes in input order. Results are
+     * Run every task and return results in input order; a task that
+     * threw comes back with failed set (see runTask). Results are
      * bit-identical for any worker count: the per-task seed depends
      * only on (task.config.seed, index), and each task simulates a
      * private sim::System.
      */
-    std::vector<SweepOutcome> run(const std::vector<SweepTask> &tasks) const;
+    std::vector<ExperimentResult>
+    run(const std::vector<SweepTask> &tasks) const;
 
     /**
-     * Generic parallel loop over [0, n) using the same worker policy,
-     * for sweeps that do not fit the ExperimentConfig mould (custom
-     * rigs like the thermal studies). fn must only touch state private
-     * to its index.
+     * The worker pool: run fn(i) for every i in [0, n), each index
+     * claimed exactly once, on resolveJobs(jobs) threads (serially on
+     * the calling thread for one job). fn must only touch state
+     * private to its index or take its own lock. progress, when set,
+     * is called under the pool's lock after every index.
      */
     static void parallelFor(std::size_t n,
                             const std::function<void(std::size_t)> &fn,
-                            unsigned jobs = 0);
+                            unsigned jobs = 0,
+                            const Progress &progress = nullptr);
 
     /**
      * Resolve a worker count: requested if nonzero, else JAVELIN_JOBS,
@@ -123,10 +134,6 @@ class SweepRunner
   private:
     Config config_;
 };
-
-/** Convenience: run tasks with a default-configured runner. */
-std::vector<SweepOutcome> runSweep(const std::vector<SweepTask> &tasks,
-                                   unsigned jobs = 0);
 
 /**
  * Progress callback that rewrites a "label: done/total" line on stderr

@@ -3,9 +3,10 @@
 # arguments and unknown flags exit with status 2; well-formed ones
 # are accepted.
 #
-#   tests/cli_usage.sh JAVELIN_SWEEP JAVELIN_TRACE
+#   tests/cli_usage.sh JAVELIN_SWEEP JAVELIN_TRACE ENSEMBLE_REPORT
 SWEEP=$1
 TRACE=$2
+ENSEMBLE=$3
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 failures=0
@@ -37,6 +38,10 @@ expect 2 "$TRACE" record --crash-after-blocks +1 $OUT
 expect 0 "$TRACE" record --samples 10 $OUT
 expect 2 "$TRACE" range "$TMP/t.jtrc" 0 10x
 expect 0 "$TRACE" range "$TMP/t.jtrc" 0 10
+
+for bad in "1,x" "-1" "1x"; do
+    expect 2 "$ENSEMBLE" --quick --seeds "$bad" --out "$TMP/e.json"
+done
 
 [ "$failures" -eq 0 ] || exit 1
 echo "cli_usage: all checks passed"

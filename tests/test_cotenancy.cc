@@ -9,11 +9,15 @@
  * re-derive the sums independently and require bit-for-bit equality
  * across seeds and tenant counts, cross-check them against the power
  * models' own integrals, pin that an idle tenant is charged only its
- * boot, and require whole-run determinism across reruns.
+ * boot, and require whole-run determinism across reruns and under
+ * trace spooling.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "core/trace_spool.hh"
 #include "harness/experiment.hh"
 #include "harness/tenant_set.hh"
 #include "workloads/program_builder.hh"
@@ -231,4 +235,67 @@ TEST(CoTenancy, CollectorRotationGivesTenantsDistinctCollectors)
     EXPECT_GT(t0.vm.gc.bytesCopied, 0u);
     EXPECT_EQ(t1.vm.gc.bytesCopied, 0u);
     EXPECT_GT(t1.vm.gc.bytesFreed, 0u);
+}
+
+/**
+ * traceSpoolDir is host-side capture: a co-tenancy run spools its
+ * power and perf traces to <dir>/<benchmark>.{power,perf}.jtrc, and
+ * the simulated result is bit-identical to the same run unspooled.
+ */
+TEST(CoTenancy, TraceSpoolDirWritesTracesWithoutChangingTheRun)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "javelin_cotenancy_spool";
+    fs::remove_all(dir);
+
+    const auto profile = workloads::benchmark("_202_jess");
+    const ExperimentConfig plain = serviceConfig(2, 7);
+    ExperimentConfig spooled = plain;
+    spooled.traceSpoolDir = dir.string();
+
+    const auto a = harness::runExperiment(plain, profile);
+    const auto b = harness::runExperiment(spooled, profile);
+    ASSERT_FALSE(a.failed) << a.failMessage;
+
+    const fs::path powerPath = dir / "_202_jess.power.jtrc";
+    const fs::path perfPath = dir / "_202_jess.perf.jtrc";
+    ASSERT_TRUE(fs::exists(powerPath));
+    ASSERT_TRUE(fs::exists(perfPath));
+    core::TraceReader power(powerPath.string());
+    core::TraceReader perf(perfPath.string());
+    EXPECT_EQ(power.kind(), core::tracefmt::RecordKind::Power);
+    EXPECT_EQ(perf.kind(), core::tracefmt::RecordKind::Perf);
+    EXPECT_GT(power.recordCount(), 0u);
+    EXPECT_GT(perf.recordCount(), 0u);
+
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.run.startTick, b.run.startTick);
+    EXPECT_EQ(a.run.endTick, b.run.endTick);
+    EXPECT_EQ(a.run.bytecodesExecuted, b.run.bytecodesExecuted);
+    EXPECT_EQ(a.run.gc.collections, b.run.gc.collections);
+    EXPECT_EQ(a.counters.cycles, b.counters.cycles);
+    EXPECT_EQ(a.counters.instructions, b.counters.instructions);
+    EXPECT_EQ(a.attribution.totalCpuJoules, b.attribution.totalCpuJoules);
+    EXPECT_EQ(a.attribution.totalMemJoules, b.attribution.totalMemJoules);
+    for (std::size_t c = 0; c < core::kNumComponents; ++c) {
+        EXPECT_EQ(a.attribution.power[c].cpuJoules,
+                  b.attribution.power[c].cpuJoules);
+        EXPECT_EQ(a.groundTruth[c].cpuJoules, b.groundTruth[c].cpuJoules);
+    }
+    EXPECT_EQ(a.groundTruthCpuJoules, b.groundTruthCpuJoules);
+    EXPECT_EQ(a.groundTruthMemJoules, b.groundTruthMemJoules);
+    EXPECT_EQ(a.maxTemperatureC, b.maxTemperatureC);
+    EXPECT_EQ(a.throttledSeconds, b.throttledSeconds);
+    EXPECT_EQ(a.cotenancy.platformCpuJoules, b.cotenancy.platformCpuJoules);
+    EXPECT_EQ(a.cotenancy.platformMemJoules, b.cotenancy.platformMemJoules);
+    EXPECT_EQ(a.cotenancy.contextSwitches, b.cotenancy.contextSwitches);
+    ASSERT_EQ(a.cotenancy.tenants.size(), b.cotenancy.tenants.size());
+    for (std::size_t i = 0; i < a.cotenancy.tenants.size(); ++i) {
+        EXPECT_EQ(a.cotenancy.tenants[i].cpuJoules,
+                  b.cotenancy.tenants[i].cpuJoules);
+        EXPECT_EQ(a.cotenancy.tenants[i].memJoules,
+                  b.cotenancy.tenants[i].memJoules);
+    }
+    fs::remove_all(dir);
 }

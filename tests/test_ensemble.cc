@@ -2,8 +2,8 @@
  * @file
  * Tests for the seed-ensemble regression harness: determinism across
  * worker counts, seed-value (not position) keyed members, report
- * serialization, and end-to-end sensitivity to an injected model
- * change.
+ * serialization, failure text of failed members, and end-to-end
+ * sensitivity to an injected model change.
  */
 
 #include <gtest/gtest.h>
@@ -136,4 +136,21 @@ TEST(Ensemble, DetectsInjectedEnergyCost)
     ASSERT_EQ(free.size(), cost.size());
     for (std::size_t i = 0; i < free.size(); ++i)
         EXPECT_GT(cost[i], free[i]) << "seed#" << i;
+}
+
+TEST(Ensemble, TenantFailureKeepsItsHarnessMessage)
+{
+    // A two-tenant cell whose per-tenant heap is too small: a tenant
+    // runs out of memory, and the co-tenancy run reports it as a
+    // harness failure ("tenant failed: ..."), not as a simulated OOM
+    // or stack overflow of the aggregate run.
+    SweepTask cell = cheapCell();
+    cell.config.tenants = 2;
+    cell.config.requestsPerTenant = 4;
+    cell.config.heapNominalMB = 1;
+    const auto results = EnsembleRunner(testConfig({7})).run({cell});
+    const auto &r = results.at(0);
+    EXPECT_EQ(r.failures, 1u);
+    EXPECT_EQ(r.firstError.rfind("tenant failed:", 0), 0u)
+        << r.firstError;
 }

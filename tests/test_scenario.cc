@@ -272,8 +272,7 @@ TEST(Scenario, HashDetectsAnyChange)
 /**
  * The committed fixtures are byte-for-byte the canonical
  * serializations of the builtin scenarios the ported drivers run
- * (fig07_edp_collectors, abl_dvfs, ensemble_report each regenerate
- * theirs with --scenario-out).
+ * (regenerate one with javelin-sweep --builtin NAME --print-scenario).
  */
 TEST(Scenario, CommittedDriverFixturesMatchBuiltins)
 {
@@ -289,7 +288,8 @@ TEST(Scenario, CommittedDriverFixturesMatchBuiltins)
             std::string(JAVELIN_FIXTURE_DIR) + "/" + file;
         const std::string committed = readFile(path);
         EXPECT_EQ(committed, serialize(builtinScenario(name)))
-            << file << " is stale; regenerate with --scenario-out";
+            << file << " is stale; regenerate with javelin-sweep "
+                       "--builtin " << name << " --print-scenario";
         // And the fixture itself parses and expands.
         const Scenario parsed = parseScenario(committed);
         EXPECT_EQ(expandScenario(parsed).size(), parsed.shardCount());

@@ -37,24 +37,22 @@ smallSweep()
 }
 
 void
-expectIdentical(const std::vector<SweepOutcome> &a,
-                const std::vector<SweepOutcome> &b)
+expectIdentical(const std::vector<ExperimentResult> &a,
+                const std::vector<ExperimentResult> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_FALSE(a[i].error.failed);
-        EXPECT_FALSE(b[i].error.failed);
-        EXPECT_EQ(a[i].result.run.endTick, b[i].result.run.endTick);
-        EXPECT_EQ(a[i].result.run.returnValue,
-                  b[i].result.run.returnValue);
-        EXPECT_EQ(a[i].result.run.gc.collections,
-                  b[i].result.run.gc.collections);
-        EXPECT_DOUBLE_EQ(a[i].result.attribution.totalCpuJoules,
-                         b[i].result.attribution.totalCpuJoules);
-        EXPECT_DOUBLE_EQ(a[i].result.attribution.totalMemJoules,
-                         b[i].result.attribution.totalMemJoules);
-        EXPECT_DOUBLE_EQ(a[i].result.groundTruthCpuJoules,
-                         b[i].result.groundTruthCpuJoules);
+        EXPECT_FALSE(a[i].failed);
+        EXPECT_FALSE(b[i].failed);
+        EXPECT_EQ(a[i].run.endTick, b[i].run.endTick);
+        EXPECT_EQ(a[i].run.returnValue, b[i].run.returnValue);
+        EXPECT_EQ(a[i].run.gc.collections, b[i].run.gc.collections);
+        EXPECT_DOUBLE_EQ(a[i].attribution.totalCpuJoules,
+                         b[i].attribution.totalCpuJoules);
+        EXPECT_DOUBLE_EQ(a[i].attribution.totalMemJoules,
+                         b[i].attribution.totalMemJoules);
+        EXPECT_DOUBLE_EQ(a[i].groundTruthCpuJoules,
+                         b[i].groundTruthCpuJoules);
     }
 }
 
@@ -75,14 +73,16 @@ TEST(SweepRunner, ParallelResultsIdenticalToSerial)
 TEST(SweepRunner, MatchesHandWrittenSerialLoop)
 {
     const auto tasks = smallSweep();
-    std::vector<SweepOutcome> byHand(tasks.size());
+    std::vector<ExperimentResult> byHand(tasks.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         auto task = tasks[i];
         task.config.seed =
             SweepRunner::taskSeed(task.config.seed, i);
-        byHand[i].result = runExperiment(task.config, task.profile);
+        byHand[i] = runExperiment(task.config, task.profile);
     }
-    const auto pooled = runSweep(tasks, 4);
+    SweepRunner::Config cfg;
+    cfg.jobs = 4;
+    const auto pooled = SweepRunner(cfg).run(tasks);
     expectIdentical(byHand, pooled);
 }
 
@@ -114,14 +114,19 @@ TEST(SweepRunner, ExceptionCapturedPerTask)
         res.run.returnValue = task.config.heapNominalMB;
         return res;
     };
-    const auto outcomes = SweepRunner(cfg).run(tasks);
-    ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_FALSE(outcomes[0].error.failed);
-    EXPECT_TRUE(outcomes[1].error.failed);
-    EXPECT_EQ(outcomes[1].error.message, "injected failure");
-    EXPECT_FALSE(outcomes[2].error.failed);
-    EXPECT_EQ(outcomes[0].result.run.returnValue, 0u);
-    EXPECT_EQ(outcomes[2].result.run.returnValue, 2u);
+    const auto results = SweepRunner(cfg).run(tasks);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_FALSE(results[0].failed);
+    EXPECT_TRUE(results[1].failed);
+    EXPECT_EQ(results[1].failMessage, "injected failure");
+    EXPECT_FALSE(results[2].failed);
+    EXPECT_EQ(results[0].run.returnValue, 0u);
+    EXPECT_EQ(results[2].run.returnValue, 2u);
+    // The failed slot is stamped with the task it belongs to.
+    EXPECT_EQ(results[1].config.heapNominalMB, 1u);
+    EXPECT_EQ(results[1].config.seed,
+              SweepRunner::taskSeed(tasks[1].config.seed, 1));
+    EXPECT_FALSE(results[1].ok());
 }
 
 TEST(SweepRunner, ProgressReportsEveryCompletion)

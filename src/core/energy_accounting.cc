@@ -4,18 +4,6 @@ namespace javelin {
 namespace core {
 
 double
-edpOf(const Attribution &a)
-{
-    return energyDelayProduct(a.totalJoules(), a.totalSeconds);
-}
-
-double
-cpuEdpOf(const Attribution &a)
-{
-    return energyDelayProduct(a.totalCpuJoules, a.totalSeconds);
-}
-
-double
 relativeImprovement(double a, double b)
 {
     return a != 0.0 ? (a - b) / a : 0.0;

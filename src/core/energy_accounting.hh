@@ -11,8 +11,6 @@
 #ifndef JAVELIN_CORE_ENERGY_ACCOUNTING_HH
 #define JAVELIN_CORE_ENERGY_ACCOUNTING_HH
 
-#include "core/attribution.hh"
-
 namespace javelin {
 namespace core {
 
@@ -22,12 +20,6 @@ energyDelayProduct(double joules, double seconds)
 {
     return joules * seconds;
 }
-
-/** EDP of a full run (CPU + memory energy, total run time). */
-double edpOf(const Attribution &a);
-
-/** EDP of the CPU alone. */
-double cpuEdpOf(const Attribution &a);
 
 /** Relative improvement of b over a: (a - b) / a. */
 double relativeImprovement(double a, double b);

@@ -3,22 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include "util/logging.hh"
-
-#if defined(__linux__) && __has_include(<linux/io_uring.h>) && \
-    defined(SYS_io_uring_setup) && defined(SYS_io_uring_enter)
-#define JAVELIN_HAVE_IO_URING 1
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#endif
 
 namespace javelin {
 namespace core {
@@ -26,161 +17,14 @@ namespace core {
 using namespace tracefmt;
 
 // ---------------------------------------------------------------------
-// io_uring backend: a tiny queue-depth-4 ring used only by the writer
-// thread, one submitted write per sealed block, completion awaited
-// before the buffer is recycled. Raw syscalls, no liburing dependency.
+// TraceSpool
 // ---------------------------------------------------------------------
-
-struct TraceSpool::IoUringCtx
-{
-#ifdef JAVELIN_HAVE_IO_URING
-    int ringFd = -1;
-    void *sqRing = nullptr;
-    std::size_t sqRingBytes = 0;
-    void *cqRing = nullptr;
-    std::size_t cqRingBytes = 0;
-    io_uring_sqe *sqes = nullptr;
-    std::size_t sqesBytes = 0;
-    unsigned *sqTail = nullptr;
-    unsigned *sqMask = nullptr;
-    unsigned *sqArray = nullptr;
-    unsigned *cqHead = nullptr;
-    unsigned *cqMask = nullptr;
-    io_uring_cqe *cqes = nullptr;
-
-    ~IoUringCtx()
-    {
-        if (sqRing && sqRing != MAP_FAILED)
-            ::munmap(sqRing, sqRingBytes);
-        if (cqRing && cqRing != MAP_FAILED && cqRing != sqRing)
-            ::munmap(cqRing, cqRingBytes);
-        if (sqes && sqes != MAP_FAILED)
-            ::munmap(sqes, sqesBytes);
-        if (ringFd >= 0)
-            ::close(ringFd);
-    }
-
-    static IoUringCtx *
-    create()
-    {
-        io_uring_params params;
-        std::memset(&params, 0, sizeof params);
-        const int fd = static_cast<int>(
-            ::syscall(SYS_io_uring_setup, 4u, &params));
-        if (fd < 0)
-            return nullptr;
-
-        auto ctx = new IoUringCtx();
-        ctx->ringFd = fd;
-        ctx->sqRingBytes =
-            params.sq_off.array + params.sq_entries * sizeof(unsigned);
-        ctx->cqRingBytes =
-            params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-        const bool singleMmap =
-            params.features & IORING_FEAT_SINGLE_MMAP;
-        if (singleMmap)
-            ctx->sqRingBytes = ctx->cqRingBytes =
-                std::max(ctx->sqRingBytes, ctx->cqRingBytes);
-
-        ctx->sqRing = ::mmap(nullptr, ctx->sqRingBytes,
-                             PROT_READ | PROT_WRITE, MAP_SHARED, fd,
-                             IORING_OFF_SQ_RING);
-        ctx->cqRing = singleMmap
-                          ? ctx->sqRing
-                          : ::mmap(nullptr, ctx->cqRingBytes,
-                                   PROT_READ | PROT_WRITE, MAP_SHARED,
-                                   fd, IORING_OFF_CQ_RING);
-        ctx->sqesBytes = params.sq_entries * sizeof(io_uring_sqe);
-        ctx->sqes = static_cast<io_uring_sqe *>(
-            ::mmap(nullptr, ctx->sqesBytes, PROT_READ | PROT_WRITE,
-                   MAP_SHARED, fd, IORING_OFF_SQES));
-        if (ctx->sqRing == MAP_FAILED || ctx->cqRing == MAP_FAILED ||
-            ctx->sqes == MAP_FAILED) {
-            delete ctx;
-            return nullptr;
-        }
-
-        auto *sq = static_cast<unsigned char *>(ctx->sqRing);
-        ctx->sqTail =
-            reinterpret_cast<unsigned *>(sq + params.sq_off.tail);
-        ctx->sqMask =
-            reinterpret_cast<unsigned *>(sq + params.sq_off.ring_mask);
-        ctx->sqArray =
-            reinterpret_cast<unsigned *>(sq + params.sq_off.array);
-        auto *cq = static_cast<unsigned char *>(ctx->cqRing);
-        ctx->cqHead =
-            reinterpret_cast<unsigned *>(cq + params.cq_off.head);
-        ctx->cqMask =
-            reinterpret_cast<unsigned *>(cq + params.cq_off.ring_mask);
-        ctx->cqes =
-            reinterpret_cast<io_uring_cqe *>(cq + params.cq_off.cqes);
-        return ctx;
-    }
-
-    /**
-     * Submit one write and wait for its completion. Returns the
-     * write's result (bytes written or -errno).
-     */
-    long
-    writeAndWait(int fd, const unsigned char *data, std::size_t len,
-                 std::uint64_t offset)
-    {
-        const unsigned tail =
-            __atomic_load_n(sqTail, __ATOMIC_RELAXED);
-        const unsigned idx = tail & *sqMask;
-        io_uring_sqe *sqe = &sqes[idx];
-        std::memset(sqe, 0, sizeof *sqe);
-        sqe->opcode = IORING_OP_WRITE;
-        sqe->fd = fd;
-        sqe->addr = reinterpret_cast<std::uint64_t>(data);
-        sqe->len = static_cast<std::uint32_t>(len);
-        sqe->off = offset;
-        sqArray[idx] = idx;
-        __atomic_store_n(sqTail, tail + 1, __ATOMIC_RELEASE);
-
-        const long rc = ::syscall(SYS_io_uring_enter, ringFd, 1u, 1u,
-                                  IORING_ENTER_GETEVENTS, nullptr, 0);
-        if (rc < 0)
-            return -errno;
-
-        const unsigned head =
-            __atomic_load_n(cqHead, __ATOMIC_ACQUIRE);
-        const io_uring_cqe *cqe = &cqes[head & *cqMask];
-        const long res = cqe->res;
-        __atomic_store_n(cqHead, head + 1, __ATOMIC_RELEASE);
-        return res;
-    }
-#endif // JAVELIN_HAVE_IO_URING
-};
-
-bool
-TraceSpool::ioUringAvailable()
-{
-#ifdef JAVELIN_HAVE_IO_URING
-    static const bool available = [] {
-        IoUringCtx *probe = IoUringCtx::create();
-        const bool ok = probe != nullptr;
-        delete probe;
-        return ok;
-    }();
-    return available;
-#else
-    return false;
-#endif
-}
 
 TraceSpool::Backend
 TraceSpool::backendFromEnv()
 {
-    const char *env = std::getenv("JAVELIN_TRACE_IO_URING");
-    if (env && env[0] != '\0' && env[0] != '0')
-        return Backend::IoUring;
     return Backend::Pwrite;
 }
-
-// ---------------------------------------------------------------------
-// TraceSpool
-// ---------------------------------------------------------------------
 
 TraceSpool::TraceSpool(Config config) : config_(std::move(config))
 {
@@ -207,27 +51,12 @@ TraceSpool::TraceSpool(Config config) : config_(std::move(config))
         b.fill = kBlockHeaderBytes;
     }
 
-    if (config_.backend == Backend::IoUring) {
-#ifdef JAVELIN_HAVE_IO_URING
-        ring_ = IoUringCtx::create();
-        usingIoUring_ = ring_ != nullptr;
-        if (!usingIoUring_)
-            JAVELIN_WARN("trace spool: io_uring requested but ring "
-                         "setup failed; falling back to pwrite");
-#else
-        JAVELIN_WARN("trace spool: io_uring requested but this build "
-                     "has no io_uring support; falling back to pwrite");
-#endif
-    }
-
     writer_ = std::thread([this] { writerLoop(); });
 }
 
 TraceSpool::~TraceSpool()
 {
     close();
-    delete ring_;
-    ring_ = nullptr;
 }
 
 void
@@ -352,10 +181,10 @@ TraceSpool::writerLoop()
             // Fault injection: tear this block halfway through its
             // write and die as an external SIGKILL would leave the
             // file — the torn-tail rule's natural habitat.
-            writeBlock(b.data.data(), b.fill / 2);
+            pwriteAll(b.data.data(), b.fill / 2);
             std::raise(SIGKILL);
         }
-        writeBlock(b.data.data(), b.fill);
+        pwriteAll(b.data.data(), b.fill);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -365,30 +194,6 @@ TraceSpool::writerLoop()
         }
         cv_.notify_all();
     }
-}
-
-void
-TraceSpool::writeBlock(const unsigned char *data, std::size_t len)
-{
-#ifdef JAVELIN_HAVE_IO_URING
-    if (usingIoUring_) {
-        std::size_t done = 0;
-        while (done < len) {
-            const long res = ring_->writeAndWait(
-                fd_, data + done, len - done, fileOffset_ + done);
-            if (res < 0)
-                JAVELIN_FATAL("trace spool: io_uring write to ",
-                              config_.path, " failed: ",
-                              std::strerror(static_cast<int>(-res)));
-            if (res == 0)
-                JAVELIN_FATAL("trace spool: io_uring short write to ",
-                              config_.path);
-            done += static_cast<std::size_t>(res);
-        }
-        return;
-    }
-#endif
-    pwriteAll(data, len);
 }
 
 void

@@ -12,13 +12,7 @@
  * framed, CRC-stamped, each carrying a footer index of its tick range
  * and component mask.
  *
- * The writer drains with plain pwrite(2) by default — the portable
- * path and the oracle the io_uring backend is verified against. On
- * Linux hosts with <linux/io_uring.h>, setting
- * Config::backend = Backend::IoUring (or JAVELIN_TRACE_IO_URING=1)
- * submits block writes through a small io_uring instead; if ring setup
- * fails at runtime (old kernel, seccomp) the spool falls back to
- * pwrite with a warning rather than failing the run.
+ * The writer drains each sealed block with plain pwrite(2).
  *
  * TraceReader is the other half: it validates the file, builds the
  * block index from footers alone (no record decoding), recovers a
@@ -49,12 +43,14 @@ namespace core {
 class TraceSpool
 {
   public:
+    /**
+     * The only write path. Backend, Config::backend and
+     * backendFromEnv() exist only because perfbench still names them.
+     */
     enum class Backend
     {
-        /** pwrite(2) on the writer thread; always available. */
+        /** pwrite(2) on the writer thread. */
         Pwrite,
-        /** io_uring submission; falls back to Pwrite if unavailable. */
-        IoUring,
     };
 
     struct Config
@@ -113,13 +109,8 @@ class TraceSpool
     std::uint64_t blocksWritten() const;
     /** Bytes written to the file so far, header included. */
     std::uint64_t bytesWritten() const;
-    /** True when the io_uring backend was requested and is active. */
-    bool usingIoUring() const { return usingIoUring_; }
 
-    /** Host support probe for the io_uring backend. */
-    static bool ioUringAvailable();
-
-    /** Backend::IoUring if JAVELIN_TRACE_IO_URING=1, else Pwrite. */
+    /** Always Backend::Pwrite; reads no environment variable. */
     static Backend backendFromEnv();
 
   private:
@@ -140,7 +131,6 @@ class TraceSpool
                        const unsigned char *rec, std::size_t len);
     void sealActive();
     void writerLoop();
-    void writeBlock(const unsigned char *data, std::size_t len);
     void pwriteAll(const unsigned char *data, std::size_t len);
 
     Config config_;
@@ -159,10 +149,6 @@ class TraceSpool
     std::uint64_t blocksWritten_ = 0;
     std::uint64_t fileOffset_ = 0;
     std::thread writer_;
-
-    bool usingIoUring_ = false;
-    struct IoUringCtx;
-    IoUringCtx *ring_ = nullptr;
 };
 
 /**

@@ -12,16 +12,6 @@
 namespace javelin {
 namespace harness {
 
-namespace {
-
-const char *
-platformName(sim::PlatformKind kind)
-{
-    return kind == sim::PlatformKind::P6 ? "P6" : "PXA255";
-}
-
-} // namespace
-
 std::vector<double>
 ensembleMetrics(const ExperimentResult &res)
 {
@@ -149,7 +139,7 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
             << jvm::vmKindName(cells[c].config.vm) << '/'
             << jvm::collectorName(cells[c].config.collector) << '/'
             << cells[c].config.heapNominalMB << "MB/"
-            << platformName(cells[c].config.platform);
+            << sim::platformKindName(cells[c].config.platform);
         cell.key = key.str();
 
         cell.metrics.resize(names.size());
@@ -210,7 +200,7 @@ writeEnsembleReport(std::ostream &os,
         json::writeString(os, jvm::vmKindName(cell.cell.config.vm));
         os << ",\n      \"heap_mb\": " << cell.cell.config.heapNominalMB;
         os << ",\n      \"platform\": ";
-        json::writeString(os, platformName(cell.cell.config.platform));
+        json::writeString(os, sim::platformKindName(cell.cell.config.platform));
         os << ",\n      \"failures\": " << cell.failures;
         os << ",\n      \"metrics\": {\n";
         for (std::size_t m = 0; m < cell.metrics.size(); ++m) {

@@ -75,7 +75,6 @@ measure(const ExperimentConfig &config, sim::System &system,
     if (!config.traceSpoolDir.empty()) {
         std::filesystem::create_directories(config.traceSpoolDir);
         core::TraceSpool::Config sp;
-        sp.backend = core::TraceSpool::backendFromEnv();
         sp.path = config.traceSpoolDir + "/" + res.benchmark +
                   ".power.jtrc";
         sp.kind = core::tracefmt::RecordKind::Power;

@@ -17,12 +17,6 @@ namespace {
 constexpr const char *kSchema = "javelin-scenario-v1";
 
 const char *
-platformName(sim::PlatformKind kind)
-{
-    return kind == sim::PlatformKind::P6 ? "P6" : "PXA255";
-}
-
-const char *
 datasetName(workloads::DatasetScale d)
 {
     return d == workloads::DatasetScale::Full ? "Full" : "Small";
@@ -38,10 +32,10 @@ sim::PlatformKind
 parsePlatform(const json::Value &v)
 {
     const std::string &s = v.asString();
-    if (s == "P6")
-        return sim::PlatformKind::P6;
-    if (s == "PXA255")
-        return sim::PlatformKind::Pxa255;
+    for (const auto kind :
+         {sim::PlatformKind::P6, sim::PlatformKind::Pxa255})
+        if (s == sim::platformKindName(kind))
+            return kind;
     failAt(v.line, "unknown platform \"" + s + "\" (P6, PXA255)");
 }
 
@@ -285,6 +279,37 @@ effectiveAxis(const std::vector<T> &axis, const T &base)
     return {base};
 }
 
+/**
+ * Reject a DVFS point past the last operating point of any swept
+ * platform (P6 has 6, PXA255 has 4). Runs once "base" and "sweep" are
+ * both read, since either may set the platform or the point.
+ */
+void
+checkDvfsPoints(const json::Value &doc, const Scenario &s)
+{
+    // The JSON values of the effective points, for their lines.
+    std::vector<const json::Value *> points;
+    if (const json::Value *axis = doc.find("sweep")->find("dvfs_point")) {
+        for (const auto &item : axis->items)
+            points.push_back(&item);
+    } else if (const json::Value *base = doc.find("base")) {
+        if (const json::Value *point = base->find("dvfs_point"))
+            points.push_back(point);
+    }
+    for (const auto platform :
+         effectiveAxis(s.platforms, s.base.platform)) {
+        const auto count = static_cast<std::int64_t>(
+            sim::platformSpec(platform).dvfsPoints.size());
+        for (const json::Value *v : points)
+            if (v->asI64() >= count)
+                failAt(v->line,
+                       "dvfs_point " + std::to_string(v->asI64()) +
+                           " out of range [-1, " +
+                           std::to_string(count - 1) + "] on platform " +
+                           sim::platformKindName(platform));
+    }
+}
+
 } // namespace
 
 std::size_t
@@ -338,6 +363,7 @@ parseScenario(const std::string &text)
         if (s.benchmarks.empty())
             failAt(doc.line,
                    "missing \"sweep\" with a \"benchmark\" axis");
+        checkDvfsPoints(doc, s);
         return s;
     });
 }
@@ -366,7 +392,8 @@ writeScenario(std::ostream &os, const Scenario &s)
     os << "  \"name\": ";
     json::writeString(os, s.name);
     os << ",\n  \"base\": {\n";
-    os << "    \"platform\": \"" << platformName(b.platform) << "\",\n";
+    os << "    \"platform\": \"" << sim::platformKindName(b.platform)
+       << "\",\n";
     os << "    \"vm\": \"" << jvm::vmKindName(b.vm) << "\",\n";
     os << "    \"collector\": \"" << jvm::collectorName(b.collector)
        << "\",\n";
@@ -411,7 +438,7 @@ writeScenario(std::ostream &os, const Scenario &s)
         os << ",\n    \"platform\": [";
         for (std::size_t i = 0; i < s.platforms.size(); ++i)
             os << (i ? ", " : "") << '"'
-               << platformName(s.platforms[i]) << '"';
+               << sim::platformKindName(s.platforms[i]) << '"';
         os << "]";
     }
     if (!s.vms.empty()) {
@@ -530,7 +557,7 @@ shardKey(const SweepTask &task)
         << jvm::vmKindName(task.config.vm) << '/'
         << jvm::collectorName(task.config.collector) << '/'
         << task.config.heapNominalMB << "MB/"
-        << platformName(task.config.platform) << "/dvfs"
+        << sim::platformKindName(task.config.platform) << "/dvfs"
         << task.config.dvfsPoint << "/s" << task.config.seed;
     // Co-tenancy shards carry their service axes; classic shards keep
     // their historical keys so existing checkpoints stay resumable.

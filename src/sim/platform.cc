@@ -142,5 +142,11 @@ platformSpec(PlatformKind kind)
     JAVELIN_PANIC("unknown platform kind");
 }
 
+const char *
+platformKindName(PlatformKind kind)
+{
+    return kind == PlatformKind::P6 ? "P6" : "PXA255";
+}
+
 } // namespace sim
 } // namespace javelin

@@ -61,6 +61,9 @@ PlatformSpec pxa255Spec();
 /** Look up a spec by kind. */
 PlatformSpec platformSpec(PlatformKind kind);
 
+/** Short name used in scenarios and reports: "P6" or "PXA255". */
+const char *platformKindName(PlatformKind kind);
+
 } // namespace sim
 } // namespace javelin
 

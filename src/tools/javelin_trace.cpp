@@ -24,7 +24,6 @@
  *                              them via the CSV writer (the
  *                              differential oracle; small N only)
  *     --crash-after-blocks K   tear the K-th block and SIGKILL
- *     --io-uring               request the io_uring backend
  *     --print-rss              print max RSS (KB) on stderr at exit
  *
  * The synthetic sample stream is a pure function of the record index,
@@ -68,7 +67,7 @@ usage()
            "                            [--out FILE] "
            "[--csv-oracle FILE]\n"
            "                            [--crash-after-blocks K]\n"
-           "                            [--io-uring] [--print-rss]\n";
+           "                            [--print-rss]\n";
     return 2;
 }
 
@@ -145,7 +144,6 @@ cmdRecord(int argc, char **argv)
     std::uint64_t samples = 100000;
     TraceSpool::Config cfg;
     cfg.path = "trace.jtrc";
-    cfg.backend = TraceSpool::backendFromEnv();
     std::string oraclePath;
     bool printRss = false;
 
@@ -175,8 +173,6 @@ cmdRecord(int argc, char **argv)
             if (!parseArg("--crash-after-blocks", argv[++i],
                           cfg.crashAfterBlocks))
                 return 2;
-        } else if (arg == "--io-uring") {
-            cfg.backend = TraceSpool::Backend::IoUring;
         } else if (arg == "--print-rss") {
             printRss = true;
         } else {
@@ -208,9 +204,7 @@ cmdRecord(int argc, char **argv)
         std::cerr << "javelin-trace: wrote " << spool.path() << ": "
                   << spool.recordsAppended() << " records, "
                   << spool.blocksWritten() << " blocks, "
-                  << spool.bytesWritten() << " bytes"
-                  << (spool.usingIoUring() ? " (io_uring)" : "")
-                  << "\n";
+                  << spool.bytesWritten() << " bytes\n";
     }
 
     if (!oraclePath.empty()) {

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "util/kahan.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
 namespace javelin {
-
-double
-BootstrapCi::relativeHalfWidth() const
-{
-    if (point == 0.0)
-        return 0.0;
-    return 0.5 * (hi - lo) / std::abs(point);
-}
 
 double
 meanOf(const std::vector<double> &xs)
@@ -43,12 +34,6 @@ quantileOf(std::vector<double> xs, double q)
     const auto hi = std::min(lo + 1, xs.size() - 1);
     const double frac = h - std::floor(h);
     return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-double
-medianOf(std::vector<double> xs)
-{
-    return quantileOf(std::move(xs), 0.5);
 }
 
 BootstrapCi
@@ -153,37 +138,6 @@ mannWhitneyP(const std::vector<double> &a, const std::vector<double> &b)
     const double z = std::max(shifted, 0.0) / std::sqrt(variance);
     const double p = std::erfc(z / std::sqrt(2.0)); // two-sided
     return std::clamp(p, 0.0, 1.0);
-}
-
-double
-permutationP(const std::vector<double> &a, const std::vector<double> &b,
-             std::size_t rounds, std::uint64_t seed)
-{
-    if (a.empty() || b.empty() || rounds == 0)
-        return 1.0;
-    const double observed = std::abs(meanOf(a) - meanOf(b));
-    std::vector<double> pooled;
-    pooled.reserve(a.size() + b.size());
-    pooled.insert(pooled.end(), a.begin(), a.end());
-    pooled.insert(pooled.end(), b.begin(), b.end());
-
-    Rng rng(seed);
-    std::size_t atLeast = 0;
-    std::vector<double> groupA(a.size());
-    for (std::size_t r = 0; r < rounds; ++r) {
-        rng.shuffle(pooled);
-        std::copy(pooled.begin(),
-                  pooled.begin() + static_cast<std::ptrdiff_t>(a.size()),
-                  groupA.begin());
-        std::vector<double> groupB(
-            pooled.begin() + static_cast<std::ptrdiff_t>(a.size()),
-            pooled.end());
-        const double delta = std::abs(meanOf(groupA) - meanOf(groupB));
-        if (delta >= observed - 1e-15 * std::abs(observed))
-            ++atLeast;
-    }
-    return (static_cast<double>(atLeast) + 1.0) /
-           (static_cast<double>(rounds) + 1.0);
 }
 
 } // namespace javelin

@@ -12,7 +12,6 @@
 #define JAVELIN_UTIL_RANDOM_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace javelin {
 
@@ -34,9 +33,6 @@ class Rng
     /** Uniform integer in [0, bound). bound must be > 0. */
     std::uint64_t uniformInt(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
-    std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
-
     /** Bernoulli trial: true with probability p. */
     bool bernoulli(double p);
 
@@ -45,36 +41,6 @@ class Rng
 
     /** Normally distributed value (Box-Muller). */
     double normal(double mean, double stddev);
-
-    /**
-     * Log-normal-ish positive size draw: mean-preserving, clamped to
-     * [min_value, max_value]. Used for object and method size draws.
-     */
-    std::uint64_t sizeDraw(double mean, double sigma,
-                           std::uint64_t min_value, std::uint64_t max_value);
-
-    /**
-     * Zipf-distributed rank in [0, n): rank k is drawn with probability
-     * proportional to (k+1)^-s. s >= 0 is the skew parameter; larger s
-     * concentrates mass on small ranks (s = 0 is uniform). Exact
-     * rejection-inversion sampling (Hörmann & Derflinger), deterministic
-     * per seed.
-     */
-    std::uint64_t zipf(std::uint64_t n, double s);
-
-    /** Fisher-Yates shuffle of a vector. */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &v)
-    {
-        for (std::size_t i = v.size(); i > 1; --i) {
-            std::size_t j = uniformInt(i);
-            std::swap(v[i - 1], v[j]);
-        }
-    }
-
-    /** Fork an independent stream (e.g., one per simulated thread). */
-    Rng fork();
 
   private:
     std::uint64_t s_[4];

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "util/logging.hh"
 
 namespace javelin {
 
@@ -18,29 +15,6 @@ RunningStat::add(double x)
     m2_ += delta * (x - mean_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto total = n_ + other.n_;
-    m2_ += other.m2_ + delta * delta *
-           (static_cast<double>(n_) * static_cast<double>(other.n_)) /
-           static_cast<double>(total);
-    mean_ = (mean_ * static_cast<double>(n_) +
-             other.mean_ * static_cast<double>(other.n_)) /
-            static_cast<double>(total);
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ = total;
 }
 
 void
@@ -73,69 +47,6 @@ double
 RunningStat::max() const
 {
     return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    JAVELIN_ASSERT(hi > lo && bins > 0, "bad histogram bounds");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto bin = static_cast<std::size_t>((x - lo_) / width_);
-        bin = std::min(bin, counts_.size() - 1);
-        ++counts_[bin];
-    }
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::percentile(double p) const
-{
-    JAVELIN_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
-    if (total_ == 0)
-        return lo_;
-    // Nearest-rank: the smallest value with at least ceil(p * n) samples
-    // at or below it. The rank is clamped to [1, n] so p = 0 selects the
-    // first sample rather than a rank of 0 (which every prefix count
-    // trivially satisfies — the old floor/>= pairing made p50 of a
-    // single-sample histogram report lo_ regardless of the sample).
-    const auto target = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::ceil(p * static_cast<double>(total_))));
-    std::uint64_t seen = underflow_;
-    if (seen >= target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += counts_[i];
-        if (seen >= target)
-            return binLow(i) + width_;
-    }
-    return hi_;
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream os;
-    os << "hist[" << lo_ << "," << hi_ << ") n=" << total_
-       << " p50=" << percentile(0.5) << " p99=" << percentile(0.99)
-       << " under=" << underflow_ << " over=" << overflow_;
-    return os.str();
 }
 
 } // namespace javelin

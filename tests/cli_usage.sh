@@ -31,10 +31,21 @@ done
 expect 0 $PRINT --jobs 2
 expect 0 $PRINT --shard 0/2
 
+# A DVFS point past the platform's last operating point (P6 has 6).
+cat > "$TMP/dvfs.json" << 'EOF'
+{
+  "schema": "javelin-scenario-v1",
+  "base": {"dvfs_point": 6},
+  "sweep": {"benchmark": ["_202_jess"]}
+}
+EOF
+expect 2 "$SWEEP" "$TMP/dvfs.json" --print-scenario
+
 OUT="--out $TMP/t.jtrc"
 expect 2 "$TRACE" record --samples 10x $OUT
 expect 2 "$TRACE" record --buffer-bytes abc $OUT
 expect 2 "$TRACE" record --crash-after-blocks +1 $OUT
+expect 2 "$TRACE" record --io-uring $OUT
 expect 0 "$TRACE" record --samples 10 $OUT
 expect 2 "$TRACE" range "$TMP/t.jtrc" 0 10x
 expect 0 "$TRACE" range "$TMP/t.jtrc" 0 10

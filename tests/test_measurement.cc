@@ -312,13 +312,3 @@ TEST(EnergyAccounting, EdpDefinition)
     EXPECT_NEAR(core::relativeImprovement(10.0, 3.0), 0.7, 1e-12);
     EXPECT_DOUBLE_EQ(core::relativeImprovement(0.0, 3.0), 0.0);
 }
-
-TEST(EnergyAccounting, EdpOfAttribution)
-{
-    core::Attribution a;
-    a.totalCpuJoules = 2.0;
-    a.totalMemJoules = 0.5;
-    a.totalSeconds = 4.0;
-    EXPECT_DOUBLE_EQ(core::edpOf(a), 10.0);
-    EXPECT_DOUBLE_EQ(core::cpuEdpOf(a), 8.0);
-}

@@ -201,6 +201,20 @@ TEST(Scenario, OutOfRangeValuesRejected)
     expectRejected(doc("{\"vm\": \"Hotspot\"}"), "unknown vm");
     expectRejected(doc("{\"collector\": \"G1\"}"), "unknown collector");
     expectRejected(doc("{\"dataset\": \"Huge\"}"), "unknown dataset");
+    // DVFS points are bounded by the platform's operating points: P6
+    // has 6, PXA255 has 4.
+    expectRejected(doc("{\"dvfs_point\": 6}"),
+                   "line 3: dvfs_point 6 out of range [-1, 5] on "
+                   "platform P6");
+    expectRejected(doc("{\"platform\": \"PXA255\", \"dvfs_point\": 4}"),
+                   "line 3: dvfs_point 4 out of range [-1, 3] on "
+                   "platform PXA255");
+    expectRejected("{\n\"schema\": \"javelin-scenario-v1\",\n"
+                   "\"sweep\": {\"benchmark\": [\"_202_jess\"],\n"
+                   "\"platform\": [\"P6\", \"PXA255\"],\n"
+                   "\"dvfs_point\": [0,\n5]}\n}\n",
+                   "line 6: dvfs_point 5 out of range [-1, 3] on "
+                   "platform PXA255");
 }
 
 TEST(Scenario, StructuralErrorsRejected)

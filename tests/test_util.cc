@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "util/bootstrap.hh"
@@ -61,21 +60,6 @@ TEST(Rng, UniformIntCoversRange)
         EXPECT_GT(count, 700); // each bucket near 1000
 }
 
-TEST(Rng, UniformRangeInclusive)
-{
-    Rng rng(13);
-    bool sawLo = false, sawHi = false;
-    for (int i = 0; i < 5000; ++i) {
-        const auto v = rng.uniformRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        sawLo |= v == -3;
-        sawHi |= v == 3;
-    }
-    EXPECT_TRUE(sawLo);
-    EXPECT_TRUE(sawHi);
-}
-
 TEST(Rng, BernoulliEdgeCases)
 {
     Rng rng(17);
@@ -107,170 +91,6 @@ TEST(Rng, NormalMoments)
     EXPECT_NEAR(s.stddev(), 2.0, 0.1);
 }
 
-TEST(Rng, SizeDrawClamped)
-{
-    Rng rng(29);
-    for (int i = 0; i < 5000; ++i) {
-        const auto v = rng.sizeDraw(64, 0.7, 16, 256);
-        EXPECT_GE(v, 16u);
-        EXPECT_LE(v, 256u);
-    }
-}
-
-TEST(Rng, SizeDrawMeanApprox)
-{
-    Rng rng(31);
-    double sum = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.sizeDraw(64, 0.5, 8, 4096));
-    EXPECT_NEAR(sum / n, 64.0, 8.0);
-}
-
-TEST(Rng, ZipfSkewsLow)
-{
-    Rng rng(37);
-    std::uint64_t low = 0, high = 0;
-    for (int i = 0; i < 10000; ++i) {
-        const auto v = rng.zipf(100, 1.2);
-        EXPECT_LT(v, 100u);
-        if (v < 10)
-            ++low;
-        else if (v >= 50)
-            ++high;
-    }
-    EXPECT_GT(low, high * 2);
-}
-
-namespace {
-
-/**
- * Pearson chi-square statistic of observed counts against expected
- * probabilities (already normalized).
- */
-double
-chiSquare(const std::vector<std::uint64_t> &observed,
-          const std::vector<double> &probability, std::uint64_t draws)
-{
-    double chi2 = 0.0;
-    for (std::size_t k = 0; k < observed.size(); ++k) {
-        const double expect =
-            probability[k] * static_cast<double>(draws);
-        const double diff = static_cast<double>(observed[k]) - expect;
-        chi2 += diff * diff / expect;
-    }
-    return chi2;
-}
-
-/** Exact bounded-zipf pmf: p(k) proportional to (k+1)^-s. */
-std::vector<double>
-zipfPmf(std::size_t n, double s)
-{
-    std::vector<double> p(n);
-    for (std::size_t k = 0; k < n; ++k)
-        p[k] = std::pow(static_cast<double>(k + 1), -s);
-    const double z = std::accumulate(p.begin(), p.end(), 0.0);
-    for (double &x : p)
-        x /= z;
-    return p;
-}
-
-} // namespace
-
-TEST(Rng, ZipfMatchesExactPmf)
-{
-    // Chi-square goodness of fit against the exact bounded pmf. The
-    // 99.9% quantile of chi2 with 19 dof is 43.8; a sampler without
-    // the rejection step (pure inversion of the continuous envelope)
-    // fails this by orders of magnitude.
-    const std::size_t n = 20;
-    const std::uint64_t draws = 40000;
-    for (const double s : {0.8, 1.2}) {
-        Rng rng(101);
-        std::vector<std::uint64_t> counts(n, 0);
-        for (std::uint64_t i = 0; i < draws; ++i)
-            ++counts[rng.zipf(n, s)];
-        EXPECT_LT(chiSquare(counts, zipfPmf(n, s), draws), 43.8)
-            << "s = " << s;
-    }
-}
-
-TEST(Rng, ZipfHandlesUnitExponent)
-{
-    // s = 1 exercises the expm1/log1p limit forms of the
-    // rejection-inversion helpers (1 - s = 0 in every exponent).
-    const std::size_t n = 20;
-    const std::uint64_t draws = 40000;
-    Rng rng(103);
-    std::vector<std::uint64_t> counts(n, 0);
-    for (std::uint64_t i = 0; i < draws; ++i)
-        ++counts[rng.zipf(n, 1.0)];
-    EXPECT_LT(chiSquare(counts, zipfPmf(n, 1.0), draws), 43.8);
-}
-
-TEST(Rng, ZipfUniformWhenUnskewed)
-{
-    const std::size_t n = 16;
-    const std::uint64_t draws = 32000;
-    Rng rng(107);
-    std::vector<std::uint64_t> counts(n, 0);
-    for (std::uint64_t i = 0; i < draws; ++i)
-        ++counts[rng.zipf(n, 0.0)];
-    // chi2_15 at 99.9% is 37.7.
-    EXPECT_LT(chiSquare(counts, zipfPmf(n, 0.0), draws), 37.7);
-}
-
-TEST(Rng, ZipfDeterministicPerSeed)
-{
-    Rng a(109), b(109);
-    for (int i = 0; i < 2000; ++i)
-        EXPECT_EQ(a.zipf(1000, 1.1), b.zipf(1000, 1.1));
-}
-
-TEST(Rng, ZipfCoversEveryRank)
-{
-    Rng rng(113);
-    std::vector<bool> seen(5, false);
-    for (int i = 0; i < 5000; ++i)
-        seen[rng.zipf(5, 1.0)] = true;
-    for (std::size_t k = 0; k < seen.size(); ++k)
-        EXPECT_TRUE(seen[k]) << "rank " << k << " never drawn";
-}
-
-TEST(Rng, SizeDrawStableAcrossSeeds)
-{
-    // Homogeneity smoke test: two independent seeds must draw from the
-    // same size distribution. Bucket by log2 and compare with the
-    // two-sample chi-square for equal totals.
-    const int draws = 20000;
-    const auto bucketed = [&](std::uint64_t seed) {
-        Rng rng(seed);
-        std::vector<double> counts(13, 0.0);
-        for (int i = 0; i < draws; ++i) {
-            const auto v = rng.sizeDraw(64, 0.7, 16, 4096);
-            int b = 0;
-            for (auto x = v; x > 16; x /= 2)
-                ++b;
-            counts[static_cast<std::size_t>(b)] += 1.0;
-        }
-        return counts;
-    };
-    const auto a = bucketed(127), b = bucketed(131);
-    double chi2 = 0.0;
-    for (std::size_t k = 0; k < a.size(); ++k)
-        if (a[k] + b[k] > 0)
-            chi2 += (a[k] - b[k]) * (a[k] - b[k]) / (a[k] + b[k]);
-    // At most 12 dof; the 99.9% quantile of chi2_12 is 32.9.
-    EXPECT_LT(chi2, 32.9);
-}
-
-TEST(Rng, ForkIndependent)
-{
-    Rng a(5);
-    Rng b = a.fork();
-    EXPECT_NE(a.next(), b.next());
-}
-
 TEST(RunningStat, Basics)
 {
     RunningStat s;
@@ -286,39 +106,6 @@ TEST(RunningStat, Basics)
     EXPECT_DOUBLE_EQ(s.sum(), 6.0);
 }
 
-TEST(RunningStat, MergeMatchesCombined)
-{
-    Rng rng(41);
-    RunningStat a, b, all;
-    for (int i = 0; i < 500; ++i) {
-        const double x = rng.normal(0, 1);
-        a.add(x);
-        all.add(x);
-    }
-    for (int i = 0; i < 300; ++i) {
-        const double x = rng.normal(5, 2);
-        b.add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeEmpty)
-{
-    RunningStat a, b;
-    a.add(2.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(RunningStat, EmptyExtremaAreNaN)
 {
     RunningStat s;
@@ -332,107 +119,12 @@ TEST(RunningStat, EmptyExtremaAreNaN)
     EXPECT_TRUE(std::isnan(s.max()));
 }
 
-TEST(RunningStat, MergeMatchesSerialUnderRandomSplits)
-{
-    // Fuzz the pairwise-merge identity: any partition of a stream,
-    // merged in order, must agree with the serial accumulation.
-    Rng rng(211);
-    for (int trial = 0; trial < 25; ++trial) {
-        std::vector<double> xs(200 + rng.uniformInt(200));
-        for (double &x : xs)
-            x = rng.bernoulli(0.3) ? rng.exponential(10.0)
-                                   : rng.normal(-3.0, 2.0);
-        RunningStat serial;
-        for (const double x : xs)
-            serial.add(x);
-
-        RunningStat merged;
-        std::size_t i = 0;
-        while (i < xs.size()) {
-            const std::size_t len = std::min<std::size_t>(
-                1 + rng.uniformInt(40), xs.size() - i);
-            RunningStat part;
-            for (std::size_t j = 0; j < len; ++j)
-                part.add(xs[i + j]);
-            merged.merge(part);
-            i += len;
-        }
-        ASSERT_EQ(merged.count(), serial.count());
-        EXPECT_NEAR(merged.mean(), serial.mean(),
-                    1e-9 * std::abs(serial.mean()) + 1e-12);
-        EXPECT_NEAR(merged.variance(), serial.variance(),
-                    1e-6 * serial.variance() + 1e-9);
-        EXPECT_DOUBLE_EQ(merged.min(), serial.min());
-        EXPECT_DOUBLE_EQ(merged.max(), serial.max());
-    }
-}
-
-TEST(Histogram, BinningAndPercentiles)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(i % 10 + 0.5);
-    EXPECT_EQ(h.total(), 100u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (std::size_t b = 0; b < 10; ++b)
-        EXPECT_EQ(h.binCount(b), 10u);
-    EXPECT_NEAR(h.percentile(0.5), 5.0, 1.1);
-}
-
-TEST(Histogram, OutOfRange)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-1.0);
-    h.add(2.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, SingleSamplePercentile)
-{
-    // The old floor-rank arithmetic reported lo for every p <= 0.5 of a
-    // one-sample histogram; nearest-rank must report the sample's bin.
-    Histogram h(0.0, 10.0, 10);
-    h.add(7.3);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 8.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 8.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 8.0);
-}
-
-TEST(Histogram, PercentileEndpoints)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(2.5); // bin 2, upper edge 3
-    h.add(9.5); // bin 9, upper edge 10
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 3.0);  // rank clamps to 1
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 3.0);  // ceil(0.5 * 2) = 1
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0); // rank n
-}
-
-TEST(Histogram, PercentileAllUnderflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(-2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 0.0);
-}
-
-TEST(Histogram, PercentileEmpty)
-{
-    Histogram h(2.0, 10.0, 4);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 2.0);
-}
-
 TEST(Bootstrap, QuantileInterpolates)
 {
     const std::vector<double> xs = {4.0, 1.0, 3.0, 2.0};
     EXPECT_DOUBLE_EQ(quantileOf(xs, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(quantileOf(xs, 1.0), 4.0);
     EXPECT_DOUBLE_EQ(quantileOf(xs, 0.5), 2.5);
-    EXPECT_DOUBLE_EQ(medianOf({5.0, 1.0, 3.0}), 3.0);
 }
 
 TEST(Bootstrap, DegenerateSamples)
@@ -493,19 +185,6 @@ TEST(Bootstrap, MannWhitneyVerdicts)
                      mannWhitneyP(shifted, same));
 }
 
-TEST(Bootstrap, PermutationVerdicts)
-{
-    const std::vector<double> a = {1.0, 1.1, 1.2, 1.3,
-                                   0.9, 1.05, 1.15, 0.95};
-    std::vector<double> b = a;
-    for (double &x : b)
-        x += 10.0;
-    EXPECT_LT(permutationP(a, b, 2000, 5), 0.01);
-    EXPECT_DOUBLE_EQ(permutationP(a, a, 2000, 5), 1.0);
-    EXPECT_DOUBLE_EQ(permutationP(a, b, 2000, 5),
-                     permutationP(a, b, 2000, 5));
-}
-
 TEST(Table, BuildAndFormat)
 {
     Table t({"name", "value"});
@@ -521,10 +200,6 @@ TEST(Table, BuildAndFormat)
     std::ostringstream os;
     t.print(os);
     EXPECT_NE(os.str().find("alpha"), std::string::npos);
-
-    std::ostringstream csv;
-    t.printCsv(csv);
-    EXPECT_NE(csv.str().find("beta,2.5"), std::string::npos);
 }
 
 TEST(Table, PercentCell)

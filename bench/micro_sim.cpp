@@ -127,7 +127,7 @@ BM_EndToEndExperiment(benchmark::State &state)
             static_cast<double>(res.run.bytecodesExecuted);
     }
     // Host-side simulation throughput: the perf-trajectory metric that
-    // scripts/ci.sh compares against the committed BENCH_sim.json.
+    // scripts/bench_ab.py compares against the reference revision.
     state.counters["bytecodes_per_sec"] =
         benchmark::Counter(static_cast<double>(total_bytecodes),
                            benchmark::Counter::kIsRate);

@@ -9,10 +9,10 @@
  * notices it.
  *
  * BM_TraceCaptureInMemory is the push_back baseline the spool is
- * compared against, and BM_EndToEndExperimentSpooled re-runs the CI's
- * end-to-end throughput floor with both spools attached, so "spooling
- * is free at the experiment level" is a measured, regression-gated
- * claim (scripts/ci.sh, bench/BENCH_trace.baseline.json).
+ * compared against, and BM_EndToEndExperimentSpooled re-runs the
+ * end-to-end experiment with both spools attached, so "spooling is
+ * free at the experiment level" is a measured, regression-gated claim
+ * (scripts/bench_ab.py).
  */
 
 #include <benchmark/benchmark.h>
@@ -82,8 +82,8 @@ BM_TraceCaptureInMemory(benchmark::State &state)
 void
 BM_EndToEndExperimentSpooled(benchmark::State &state)
 {
-    // The CI end-to-end pipeline with power + perf spooling enabled:
-    // same floor (>= 50M bytecodes/s) must hold with capture on.
+    // The end-to-end pipeline of BM_EndToEndExperiment with power +
+    // perf spooling enabled.
     std::uint64_t total_bytecodes = 0;
     for (auto _ : state) {
         harness::ExperimentConfig cfg;

@@ -4,27 +4,28 @@
 # (JAVELIN_INTERP_NO_FAST_PATH); then a Debug ASan+UBSan pass over the
 # same suite (the threaded-dispatch and SoA hot paths lean on raw
 # pointers and computed goto, exactly where sanitizers earn their
-# keep); then the perf gate: Release builds of
-# bench/micro_sim, bench/micro_gc, and bench/micro_trace whose gated
-# throughput metrics must stay within 10 % of the committed baselines
-# (see scripts/compare_bench.py); plus the trace-spool smoke
-# (crash-recovery round trip) and the flat-RSS capture ceiling; and finally the statistical energy gate:
-# a Release ensemble run over the pinned seed list, compared against
-# bench/ENSEMBLE_energy.baseline.json for statistically significant
-# energy/EDP regressions (see scripts/compare_ensemble.py). Mirrors
-# what CI runs; keep it green before pushing.
+# keep); then the perf gate: scripts/bench_ab.py builds bench/micro_sim,
+# bench/micro_gc and bench/micro_trace in Release for the working tree
+# and for a pinned reference revision and runs them as interleaved
+# same-host A/B pairs, failing when any gated wall-clock throughput
+# falls below 0.90x of the reference; plus the trace-spool smoke
+# (crash-recovery round trip) and the flat-RSS capture ceiling; and
+# finally the statistical energy gate: a Release ensemble run over the
+# pinned seed list, compared against bench/ENSEMBLE_energy.baseline.json
+# for statistically significant energy/EDP regressions (see
+# scripts/compare_ensemble.py). JAVELIN_SKIP_ASAN=1 skips the sanitizer
+# pass and JAVELIN_SKIP_BENCH=1 the micro A/B leg; the energy gate
+# always runs. Mirrors what CI runs; keep it green before pushing.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# --- gate-tooling self-tests and the fixture pair: the comparison
-# --- scripts check their own logic, then the ensemble gate is
-# --- exercised in both directions against committed fixtures (a
-# --- healthy re-run must pass, an injected +5 % energy regression must
-# --- fail) without running a single experiment.
+# --- the ensemble-gate fixture pair: the gate is exercised in both
+# --- directions against committed fixtures (a healthy re-run must
+# --- pass, an injected +5 % energy regression must fail) without
+# --- running a single experiment. The gate scripts' own --self-test
+# --- checks run as ctest entries below.
 if command -v python3 > /dev/null 2>&1; then
-    python3 scripts/compare_bench.py --self-test
-    python3 scripts/compare_ensemble.py --self-test
     python3 scripts/compare_ensemble.py tests/fixtures/ensemble_baseline.json \
         tests/fixtures/ensemble_ok.json
     if python3 scripts/compare_ensemble.py \
@@ -174,74 +175,26 @@ else
     ctest --test-dir build-asan --output-on-failure -j
 fi
 
-# --- perf gate (skippable for quick correctness-only runs)
+# --- perf gate (skippable for quick correctness-only runs): paired
+# --- same-host A/B against the reference revision pinned in
+# --- scripts/bench_ab.py (DESIGN.md §5c).
 if [ "${JAVELIN_SKIP_BENCH:-0}" = "1" ]; then
-    echo "ci.sh: JAVELIN_SKIP_BENCH=1, skipping the perf gate"
-    exit 0
-fi
-
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j --target micro_sim --target micro_gc \
-    --target micro_trace
-# Three full passes of each suite: every gate below takes the
-# per-benchmark best of the three (compare_bench.py merges them), since
-# a loaded host can depress any single run by well over the 10 %
-# regression budget.
-for i in 1 2 3; do
-    ./build-release/bench/micro_sim --benchmark_format=json \
-        --benchmark_min_time=1 > "BENCH_sim_$i.json"
-    ./build-release/bench/micro_gc --benchmark_format=json \
-        --benchmark_min_time=1 > "BENCH_gc_$i.json"
-    ./build-release/bench/micro_trace --benchmark_format=json \
-        --benchmark_min_time=1 > "BENCH_trace_$i.json"
-done
-if command -v python3 > /dev/null 2>&1; then
-    # The gates: no more than 10 % below the committed baselines.
-    python3 scripts/compare_bench.py bench/BENCH_sim.baseline.json \
-        BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
-        --max-regress 0.10
-    python3 scripts/compare_bench.py bench/BENCH_gc.baseline.json \
-        BENCH_gc_1.json BENCH_gc_2.json BENCH_gc_3.json \
-        --max-regress 0.10
-    # Co-tenancy gate (DESIGN.md §11): BM_EndToEndMultiTenant against
-    # its own committed baseline (the other micro_sim gates are in
-    # BENCH_sim.baseline.json, which predates the benchmark and is
-    # deliberately left untouched).
-    python3 scripts/compare_bench.py bench/BENCH_cotenancy.baseline.json \
-        BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
-        --max-regress 0.10
-    # Tentpole perf targets (DESIGN.md §5g), over the same three runs:
-    # BM_EndToEndCallHeavy against its committed pre-trace-v2 capture
-    # and BM_EndToEndExperiment >= 50M bytecodes/s outright. The
-    # measured call-path speedup is ~1.28-1.29x (paired interleaved
-    # runs; see §5g); the gate sits at 1.15x as a regression tripwire
-    # below it, same policy as the §5f mutator gate, because the
-    # shared host cannot reproduce a point estimate run-to-run.
-    python3 scripts/compare_bench.py bench/BENCH_sim.pre_trace_v2.json \
-        BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
-        --no-default-gates \
-        --min-speedup BM_EndToEndCallHeavy.bytecodes_per_sec=1.15 \
-        --min-rate BM_EndToEndExperiment.bytecodes_per_sec=50e6
-    # Trace-spool gates (DESIGN.md §10): per-sample spool append cost
-    # and the end-to-end pipeline with power + perf spooling attached.
-    # The 50M floor is the same one the unspooled pipeline carries —
-    # spooling must be free at the experiment level.
-    python3 scripts/compare_bench.py bench/BENCH_trace.baseline.json \
-        BENCH_trace_1.json BENCH_trace_2.json BENCH_trace_3.json \
-        --max-regress 0.10 \
-        --min-rate BM_EndToEndExperimentSpooled.bytecodes_per_sec=50e6
+    echo "ci.sh: JAVELIN_SKIP_BENCH=1, skipping the micro A/B leg"
+elif command -v python3 > /dev/null 2>&1; then
+    python3 scripts/bench_ab.py
 else
-    echo "ci.sh: python3 not found, skipping benchmark comparison" >&2
+    echo "ci.sh: python3 not found, skipping the micro A/B leg" >&2
 fi
 
 # --- statistical energy gate: the pinned-seed ensemble must show no
 # --- statistically significant energy/EDP regression against the
 # --- committed baseline (Holm-corrected permutation test, not a fixed
-# --- threshold; the fixed-threshold micro-benchmark gates above are
-# --- unchanged). Regenerate the baseline only after intentional model
-# --- changes: build-release/bench/ensemble_report --out
+# --- threshold). Runs whether or not the micro A/B leg ran. Regenerate
+# --- the baseline only after intentional model changes:
+# --- build-release/bench/ensemble_report --out
 # --- bench/ENSEMBLE_energy.baseline.json, then
 # --- scripts/make_ensemble_fixtures.py.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j --target ensemble_report
 ./build-release/bench/ensemble_report --out ENSEMBLE_current.json
 if command -v python3 > /dev/null 2>&1; then

@@ -5,6 +5,13 @@
 namespace javelin {
 namespace core {
 
+namespace {
+
+/** Samples preallocated for the in-memory trace. */
+constexpr std::size_t kReserveSamples = 1 << 12;
+
+} // namespace
+
 HpmSampler::HpmSampler(sim::System &system, ComponentPort &port)
     : HpmSampler(system, port, Config())
 {
@@ -25,7 +32,7 @@ HpmSampler::HpmSampler(sim::System &system, ComponentPort &port,
                            core::tracefmt::RecordKind::Perf,
                        "HPM spool must carry perf records");
     if (keepInMemory_)
-        trace_.reserve(config.reserve);
+        trace_.reserve(kReserveSamples);
     last_ = system_.counters();
     system_.addPeriodicTask("hpm", period_,
                             [this](Tick now) { sample(now); });

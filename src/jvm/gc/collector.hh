@@ -147,10 +147,6 @@ struct GcCostTable
  */
 std::uint64_t gcPollFreeUnits(sim::System &system);
 
-/** Default for GcEnv::fastPath: true unless JAVELIN_GC_NO_FAST_PATH is
- *  set in the environment (checked once). */
-bool gcFastPathDefault();
-
 /** The collector algorithms of paper Fig. 3 (plus Kaffe's). */
 enum class CollectorKind
 {
@@ -202,7 +198,7 @@ struct GcEnv
      * paths, kept as the oracle for tests/test_gc_diff.cc. Both produce
      * bit-identical architectural events and joules.
      */
-    bool fastPath = gcFastPathDefault();
+    bool fastPath = true;
 };
 
 /**

@@ -44,7 +44,7 @@ namespace jvm {
 
 /** Default for Interpreter::Config::fastPath: true unless
  *  JAVELIN_INTERP_NO_FAST_PATH is set in the environment (checked
- *  once), mirroring gcFastPathDefault(). */
+ *  once; scripts/ci.sh runs the whole suite with it set). */
 bool interpFastPathDefault();
 
 /** Thrown when the collector cannot satisfy an allocation. */

@@ -104,7 +104,7 @@ Jvm::Jvm(sim::System &system, const Program &program,
         config_.interp.compileOnInvoke = Tier::Jitted;
 
     const GcEnv env{heap_, om_, system_, *this,
-                    config_.chargeBarrierCost, gcFastPathDefault()};
+                    config_.chargeBarrierCost};
     collector_ = makeCollector(config_.collector, env);
 
     engine_ = std::make_unique<Interpreter>(

@@ -209,7 +209,7 @@ TEST(HpmSampler, DeltasSumToTotals)
     System sys(testSpec());
     ComponentPort port(sys);
     core::HpmSampler hpm(sys, port, core::HpmSampler::Config{
-                                        100 * kTicksPerMicro, 64});
+                                        100 * kTicksPerMicro});
     while (sys.cpu().now() < 5 * kTicksPerMilli)
         burn(sys, 300);
     sim::PerfCounters sum;
